@@ -23,21 +23,6 @@ Matrix Matrix::identity(std::size_t n) {
     return m;
 }
 
-void gemm_raw(const double* a, const double* b, double* c, std::size_t n,
-              std::size_t k, std::size_t m, double alpha) {
-    // i-k-j loop order: unit-stride inner loop over both B and C.
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t l = 0; l < k; ++l) {
-            const double av = alpha * a[i * k + l];
-            const double* brow = b + l * m;
-            double* crow = c + i * m;
-            for (std::size_t j = 0; j < m; ++j) {
-                crow[j] += av * brow[j];
-            }
-        }
-    }
-}
-
 void gemm_acc(const Matrix& a, const Matrix& b, Matrix& c) {
     if (a.cols() != b.rows() || c.rows() != a.rows() || c.cols() != b.cols()) {
         throw std::invalid_argument("gemm: shape mismatch");

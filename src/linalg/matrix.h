@@ -58,6 +58,9 @@ Matrix gemm(const Matrix& a, const Matrix& b);
 
 /// C += alpha * A * B on raw row-major buffers (used by SUMMA's block
 /// kernel, which works on shared-window memory rather than Matrix objects).
+/// A register-tiled kernel (gemm.cc) whose results are bit-identical to the
+/// plain i-k-j loop: each element is updated as c += (alpha * a) * b with
+/// l ascending.
 void gemm_raw(const double* a, const double* b, double* c, std::size_t n,
               std::size_t k, std::size_t m, double alpha = 1.0);
 

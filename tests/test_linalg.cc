@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "linalg/cholesky.h"
+#include "linalg/gemm.h"
 #include "linalg/matrix.h"
 #include "linalg/rng.h"
 
@@ -177,4 +181,82 @@ TEST(Linalg, GemmRawAccumulatesWithAlpha) {
     EXPECT_DOUBLE_EQ(c[1], 2 * 22 + 1);
     EXPECT_DOUBLE_EQ(c[2], 2 * 43 + 1);
     EXPECT_DOUBLE_EQ(c[3], 2 * 50 + 1);
+}
+
+namespace {
+
+// The plain i-k-j loop every gemm_raw variant must reproduce bit for bit.
+// This file is built with -ffp-contract=off (tests/CMakeLists.txt), so the
+// update below is a rounded multiply followed by a rounded add.
+void reference_gemm(const double* a, const double* b, double* c, std::size_t n,
+                    std::size_t k, std::size_t m, double alpha) {
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t l = 0; l < k; ++l) {
+            const double av = alpha * a[i * k + l];
+            for (std::size_t j = 0; j < m; ++j) {
+                c[i * m + j] += av * b[l * m + j];
+            }
+        }
+    }
+}
+
+std::vector<double> random_values(Rng& rng, std::size_t count) {
+    std::vector<double> v(count);
+    for (double& x : v) x = rng.normal();
+    return v;
+}
+
+}  // namespace
+
+TEST(GemmKernels, EveryVariantIsBitIdenticalToReferenceLoop) {
+    // Sizes straddle the 4-row tile, every tile width (4, 8, 16 columns)
+    // and the 256-deep packed panel, so every edge path runs.
+    const std::size_t dims[] = {0,  1,  3,  4,  5,   7,   8,   15,
+                                16, 17, 31, 64, 255, 256, 257, 300};
+    const std::size_t max = 300 * 300;
+    Rng rng(12);
+    const std::vector<double> a = random_values(rng, max);
+    const std::vector<double> b = random_values(rng, max);
+    const std::vector<double> c0 = random_values(rng, max);
+
+    std::vector<const detail::GemmKernel*> variants;
+    for (const detail::GemmKernel& kv : detail::gemm_kernels()) {
+        if (kv.supported) variants.push_back(&kv);
+    }
+    ASSERT_FALSE(variants.empty());
+    EXPECT_TRUE(detail::gemm_kernels().back().supported)
+        << "the baseline variant must run everywhere";
+
+    std::vector<double> want(max), got(max);
+    for (std::size_t n : dims) {
+        for (std::size_t k : dims) {
+            for (std::size_t m : dims) {
+                for (double alpha : {1.0, -0.37}) {
+                    const std::size_t bytes = n * m * sizeof(double);
+                    std::copy_n(c0.begin(), n * m, want.begin());
+                    reference_gemm(a.data(), b.data(), want.data(), n, k, m,
+                                   alpha);
+                    for (const detail::GemmKernel* kv : variants) {
+                        std::copy_n(c0.begin(), n * m, got.begin());
+                        kv->fn(a.data(), b.data(), got.data(), n, k, m, alpha);
+                        ASSERT_EQ(std::memcmp(got.data(), want.data(), bytes), 0)
+                            << kv->name << " n=" << n << " k=" << k
+                            << " m=" << m << " alpha=" << alpha;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(GemmKernels, DispatchedKernelIsBitIdenticalToReferenceLoop) {
+    Rng rng(13);
+    const std::size_t n = 37, k = 300, m = 45;
+    const std::vector<double> a = random_values(rng, n * k);
+    const std::vector<double> b = random_values(rng, k * m);
+    std::vector<double> want = random_values(rng, n * m);
+    std::vector<double> got = want;
+    reference_gemm(a.data(), b.data(), want.data(), n, k, m, -0.37);
+    gemm_raw(a.data(), b.data(), got.data(), n, k, m, -0.37);
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), n * m * sizeof(double)), 0);
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "apps/summa.h"
 
@@ -55,8 +56,10 @@ TEST_P(SummaP, MatchesSerialProduct) {
         const linalg::Matrix got = summa.gather_c();
         if (world.rank() == 0) {
             const auto n = static_cast<std::size_t>(grid * block);
-            EXPECT_LT(got.distance(serial_product(n)), 1e-9)
-                << "grid " << grid << " block " << block;
+            const linalg::Matrix want = serial_product(n);
+            EXPECT_TRUE(got == want)
+                << "grid " << grid << " block " << block << ": distance "
+                << got.distance(want);
         }
         barrier(world);
     });
@@ -142,29 +145,44 @@ TEST(Summa, HybridIsFasterOnNodeForSmallTiles) {
 TEST(Summa, LookaheadMatchesSerialProduct) {
     // The double-buffered split-phase broadcasts must not change a single
     // bit of the result, over square and non-square node layouts.
-    for (const auto& nodes :
-         {std::vector<int>{9}, std::vector<int>{5, 4}, std::vector<int>{4, 4, 1}}) {
+    auto multiply_twice = [](const std::vector<int>& nodes, bool lookahead) {
         Runtime rt(ClusterSpec::irregular(nodes), ModelParams::cray());
+        linalg::Matrix c;
         rt.run([&](Comm& world) {
             SummaConfig cfg;
             cfg.grid = 3;
             cfg.block = 7;
             cfg.backend = Backend::Hybrid;
-            cfg.lookahead = true;
+            cfg.lookahead = lookahead;
             Summa summa(world, cfg);
             summa.init(elem_a, elem_b);
             summa.multiply();
             summa.multiply();  // reuse: channels must survive re-posting
-            const linalg::Matrix got = summa.gather_c();
-            if (world.rank() == 0) {
-                linalg::Matrix want = serial_product(21);
-                for (std::size_t i = 0; i < 21; ++i) {
-                    for (std::size_t j = 0; j < 21; ++j) want(i, j) *= 2.0;
-                }
-                EXPECT_LT(got.distance(want), 1e-9);
-            }
+            linalg::Matrix got = summa.gather_c();
+            if (world.rank() == 0) c = std::move(got);
             barrier(world);
         });
+        return c;
+    };
+    for (const auto& nodes :
+         {std::vector<int>{9}, std::vector<int>{5, 4}, std::vector<int>{4, 4, 1}}) {
+        const linalg::Matrix got = multiply_twice(nodes, true);
+        // Two accumulating multiplies round differently from doubling one,
+        // so the serial comparison needs a tolerance ...
+        linalg::Matrix want = serial_product(21);
+        for (std::size_t i = 0; i < 21; ++i) {
+            for (std::size_t j = 0; j < 21; ++j) want(i, j) *= 2.0;
+        }
+        EXPECT_LT(got.distance(want), 1e-9);
+        // ... but the blocking multiply runs the same operations in the
+        // same order, so lookahead must reproduce it bit for bit.
+        const linalg::Matrix blocking = multiply_twice(nodes, false);
+        ASSERT_EQ(got.rows(), blocking.rows());
+        ASSERT_EQ(got.cols(), blocking.cols());
+        EXPECT_EQ(std::memcmp(got.data(), blocking.data(),
+                              got.rows() * got.cols() * sizeof(double)),
+                  0)
+            << "nodes " << nodes.size();
     }
 }
 
