@@ -554,7 +554,6 @@ void AllgatherChannel::downgrade_to_flat(bool refill) {
     stats_.flat_downgrades += 1;
     ctx.robust_stats.flat_downgrades += 1;
     minimpi::trace_instant(ctx, hytrace::Phase::Robust, "flat_downgrade");
-    HYTRACE_COUNTER(ctx, degradations, 1);
     // Counts by world rank, displacements preserving the slot-major layout
     // so block_of()/data() keep the exact same offsets.
     flat_counts_ = block_bytes_;

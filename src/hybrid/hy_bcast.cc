@@ -43,7 +43,6 @@ void BcastChannel::downgrade_to_flat(int root, bool refill) {
     stats_.flat_downgrades += 1;
     ctx.robust_stats.flat_downgrades += 1;
     minimpi::trace_instant(ctx, hytrace::Phase::Robust, "flat_downgrade");
-    HYTRACE_COUNTER(ctx, degradations, 1);
     if (ctx.payload_mode == minimpi::PayloadMode::Real) {
         flat_buf_.assign(2 * bytes_padded_, std::byte{0});
     }

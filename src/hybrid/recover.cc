@@ -142,7 +142,6 @@ RecoveryResult shrink_and_rebuild(const minimpi::Comm& broken,
     }
 
     ctx.robust_stats.shrinks += 1;
-    HYTRACE_COUNTER(ctx, shrinks, 1);
     return res;
 }
 

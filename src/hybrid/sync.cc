@@ -13,7 +13,7 @@ namespace {
 /// A flag this rank is waiting on is owned by a dead rank and was never
 /// published: the same deterministic detection accounting as a dead-peer
 /// receive — clock advances to death + watchdog_us, failures_detected
-/// counters bump, a Robust "detect" span covers the wait.
+/// bumps, a Robust "detect" span covers the wait.
 [[noreturn]] void throw_flag_owner_dead(minimpi::RankCtx& ctx,
                                         minimpi::Transport& tp, int owner) {
     const VTime death = tp.death_vtime(owner);
@@ -22,7 +22,6 @@ namespace {
     const VTime t0 = ctx.clock.now();
     ctx.clock.sync_to(death + watchdog);
     ctx.robust_stats.failures_detected += 1;
-    HYTRACE_COUNTER(ctx, failures_detected, 1);
     if (hytrace::Span* s = minimpi::trace_complete(
             ctx, hytrace::Phase::Robust, "detect", t0)) {
         s->peer = owner;
@@ -272,7 +271,6 @@ void NodeSync::release_phase(SyncPolicy p) {
             ctx.robust_stats.sync_downgrades += 1;
             minimpi::trace_instant(ctx, hytrace::Phase::Robust,
                                    "sync_downgrade");
-            HYTRACE_COUNTER(ctx, degradations, 1);
         }
     }
 }

@@ -43,7 +43,6 @@ void throw_comm_interrupt(const CommState& st, RankCtx& ctx) {
             const VTime t0 = ctx.vck().now();
             ctx.vck().sync_to(death + ctx.robust_cfg->watchdog_us);
             ctx.robust_stats.failures_detected += 1;
-            HYTRACE_COUNTER(ctx, failures_detected, 1);
             if (hytrace::Span* s = trace_complete(
                     ctx, hytrace::Phase::Robust, "detect", t0)) {
                 s->peer = w;

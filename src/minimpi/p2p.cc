@@ -70,13 +70,12 @@ void wait_recv_yielding_inner(RankCtx& ctx, PostedRecv* pr) {
 /// receive observed a peer death: the observer's clock advances to
 /// death_vtime + watchdog_us (the virtual-time watchdog that noticed the
 /// silence — a pure function of the killed rank's program, never of host
-/// scheduling), failures_detected counters bump, and a Robust "detect" span
+/// scheduling), failures_detected bumps, and a Robust "detect" span
 /// covers the wait. Revocation interrupts charge nothing, on purpose.
 void charge_failure_detection(RankCtx& ctx, const ProcessFailedError& e,
                               VTime t0) {
     ctx.vck().sync_to(e.death_vtime() + ctx.robust_cfg->watchdog_us);
     ctx.robust_stats.failures_detected += 1;
-    HYTRACE_COUNTER(ctx, failures_detected, 1);
     if (hytrace::Span* s =
             trace_complete(ctx, hytrace::Phase::Robust, "detect", t0)) {
         s->peer = e.world_rank();
@@ -143,10 +142,6 @@ void send_bytes(const Comm& comm, const void* buf, std::size_t bytes, int dest,
 
     const VTime t_send0 = ctx.vck().now();
     ctx.vck().advance(link.overhead_us);
-    if (ctx.tracer) {
-        ctx.tracer->record(TraceEvent::Kind::Send, t_send0, ctx.vck().now(),
-                           dst_world, bytes);
-    }
     if (trace_p2p(ctx)) {
         hytrace::Span* s =
             trace_complete(ctx, hytrace::Phase::P2P, "send", t_send0);
@@ -159,7 +154,6 @@ void send_bytes(const Comm& comm, const void* buf, std::size_t bytes, int dest,
         ctx.stats.intra_node_msgs += 1;
         if (!ctx.cluster->same_socket(ctx.world_rank, dst_world)) {
             ctx.stats.xsocket_bytes += bytes;
-            HYTRACE_COUNTER(ctx, xsocket_bytes, bytes);
         }
     } else {
         ctx.stats.inter_node_msgs += 1;
@@ -266,10 +260,6 @@ void send_frame(const Comm& comm, const void* buf, std::size_t bytes, int dest,
 
     const VTime t_send0 = ctx.clock.now();
     ctx.clock.advance(link.overhead_us);
-    if (ctx.tracer) {
-        ctx.tracer->record(TraceEvent::Kind::Send, t_send0, ctx.clock.now(),
-                           dst_world, bytes);
-    }
     if (trace_p2p(ctx)) {
         hytrace::Span* s =
             trace_complete(ctx, hytrace::Phase::P2P, "send_frame", t_send0);
@@ -282,7 +272,6 @@ void send_frame(const Comm& comm, const void* buf, std::size_t bytes, int dest,
         ctx.stats.intra_node_msgs += 1;
         if (!ctx.cluster->same_socket(ctx.world_rank, dst_world)) {
             ctx.stats.xsocket_bytes += bytes;
-            HYTRACE_COUNTER(ctx, xsocket_bytes, bytes);
         }
     } else {
         ctx.stats.inter_node_msgs += 1;
@@ -342,10 +331,6 @@ FrameRecvResult finish_frame_recv(const Comm& comm, PostedRecv& pr) {
     const VTime t_recv0 = ctx.clock.now();
     ctx.clock.sync_to(pr.arrival);
     ctx.clock.advance(pr.recv_overhead);
-    if (ctx.tracer) {
-        ctx.tracer->record(TraceEvent::Kind::Recv, t_recv0, ctx.clock.now(),
-                           pr.matched_src, pr.msg_bytes);
-    }
     if (trace_p2p(ctx)) {
         hytrace::Span* s =
             trace_complete(ctx, hytrace::Phase::P2P, "recv_frame", t_recv0);
@@ -549,10 +534,6 @@ Status Request::finish_recv() {
     const VTime t_recv0 = ctx_->vck().now();
     ctx_->vck().sync_to(pr.arrival);
     ctx_->vck().advance(pr.recv_overhead);
-    if (ctx_->tracer) {
-        ctx_->tracer->record(TraceEvent::Kind::Recv, t_recv0,
-                             ctx_->vck().now(), pr.matched_src, pr.msg_bytes);
-    }
     if (trace_p2p(*ctx_)) {
         hytrace::Span* s =
             trace_complete(*ctx_, hytrace::Phase::P2P, "recv", t_recv0);

@@ -151,6 +151,18 @@ struct RankThreadArgs {
     std::exception_ptr* error_out;
 };
 
+/// Fill the span counters that restate a stats field from that field, so
+/// each fact is counted in one place: the stats, which every run keeps,
+/// traced or not.
+void derive_counters(hytrace::Counters& c, const CommStats& stats,
+                     const hympi::RobustStats& robust) {
+    c.xsocket_bytes = stats.xsocket_bytes;
+    c.retransmits = robust.retries;
+    c.degradations = robust.sync_downgrades + robust.flat_downgrades;
+    c.failures_detected = robust.failures_detected;
+    c.shrinks = robust.shrinks;
+}
+
 void* rank_thread_entry(void* raw) {
     auto* args = static_cast<RankThreadArgs*>(raw);
     try {
@@ -194,8 +206,6 @@ std::vector<VTime> Runtime::run(const std::function<void(Comm&)>& rank_main) {
     std::vector<std::exception_ptr> errors(static_cast<std::size_t>(n));
     std::vector<RankThreadArgs> args(static_cast<std::size_t>(n));
     std::vector<pthread_t> threads(static_cast<std::size_t>(n));
-    std::vector<Tracer> tracers(
-        opts_.trace ? static_cast<std::size_t>(n) : 0);
 
     // Span recording is on when the caller asked (RunOptions::spans) or
     // process-wide via HYMPI_TRACE; the sink only receives runs in the
@@ -227,7 +237,6 @@ std::vector<VTime> Runtime::run(const std::function<void(Comm&)>& rank_main) {
         if (fault_plan_.kill_active()) {
             ctx.kill_at = fault_plan_.kill_time(i);
         }
-        if (opts_.trace) ctx.tracer = &tracers[static_cast<std::size_t>(i)];
         if (span_trace) ctx.spans = &recorders[static_cast<std::size_t>(i)];
         args[static_cast<std::size_t>(i)] =
             RankThreadArgs{this, &ctx, world_state, &rank_main,
@@ -277,7 +286,6 @@ std::vector<VTime> Runtime::run(const std::function<void(Comm&)>& rank_main) {
     std::vector<VTime> clocks(static_cast<std::size_t>(n));
     last_stats_.resize(static_cast<std::size_t>(n));
     last_robust_stats_.resize(static_cast<std::size_t>(n));
-    last_traces_.clear();
     for (int i = 0; i < n; ++i) {
         clocks[static_cast<std::size_t>(i)] =
             ctxs[static_cast<std::size_t>(i)].clock.now();
@@ -286,19 +294,17 @@ std::vector<VTime> Runtime::run(const std::function<void(Comm&)>& rank_main) {
         last_robust_stats_[static_cast<std::size_t>(i)] =
             ctxs[static_cast<std::size_t>(i)].robust_stats;
     }
-    if (opts_.trace) {
-        last_traces_.reserve(tracers.size());
-        for (auto& t : tracers) last_traces_.push_back(t.events());
-    }
     last_span_traces_.clear();
     if (span_trace) {
         last_span_traces_.reserve(recorders.size());
         for (int i = 0; i < n; ++i) {
-            auto& rec = recorders[static_cast<std::size_t>(i)];
+            const auto& rec = recorders[static_cast<std::size_t>(i)];
+            const auto& ctx = ctxs[static_cast<std::size_t>(i)];
             hytrace::RankTrace rt;
             rt.node = cluster_.node_of(i);
             rt.spans = rec.spans();
             rt.counters = rec.counters();
+            derive_counters(rt.counters, ctx.stats, ctx.robust_stats);
             last_span_traces_.push_back(std::move(rt));
         }
         if (sink.enabled()) {

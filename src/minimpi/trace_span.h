@@ -88,8 +88,10 @@ inline hytrace::Span* trace_instant(RankCtx& ctx, hytrace::Phase phase,
 }
 
 /// Bump a per-rank counter field, e.g.
-/// HYTRACE_COUNTER(ctx, retransmits, 1). Placed at the exact code site
+/// HYTRACE_COUNTER(ctx, bridge_bytes, n). Placed at the exact code site
 /// performing the counted action so counters stay truthful by construction.
+/// Fields that restate CommStats/RobustStats are derived at finalize
+/// instead (hytrace::Counters), never bumped here.
 #define HYTRACE_COUNTER(ctx, field, delta)                          \
     do {                                                            \
         if ((ctx).spans != nullptr) {                               \

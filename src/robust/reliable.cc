@@ -267,7 +267,6 @@ bool reliable_xfer(const minimpi::Comm& comm, const void* sbuf,
                     agg.retries += 1;
                     minimpi::trace_instant(ctx, hytrace::Phase::Robust,
                                            "retransmit");
-                    HYTRACE_COUNTER(ctx, retransmits, 1);
                     ++attempt;
                     const VTime t_backoff0 = ctx.clock.now();
                     ctx.clock.advance(

@@ -59,19 +59,28 @@ struct Span {
     VTime t_end = 0.0;
 };
 
-/// Per-rank counters, aggregated by Runtime::run at finalize. Each is
-/// maintained exactly at the code site that performs the counted action,
-/// so e.g. `retransmits` matches RobustStats::retries by construction.
+/// Per-rank counters, aggregated by Runtime::run at finalize. Most are
+/// bumped at the code site that performs the counted action. The five
+/// marked [finalize] restate a field of minimpi::CommStats or
+/// hympi::RobustStats and are filled from it once, when the run ends, so
+/// they cannot disagree with it; mid-run they read 0.
 struct Counters {
     std::uint64_t bridge_bytes = 0;  ///< bytes sent inside bridge-exchange spans
     std::uint64_t shm_bytes = 0;     ///< bytes moved through node-shared memory
-    std::uint64_t xsocket_bytes = 0; ///< bytes crossing a NUMA socket boundary
+    /// Bytes crossing a NUMA socket boundary [finalize:
+    /// CommStats::xsocket_bytes].
+    std::uint64_t xsocket_bytes = 0;
     VTime sync_wait_us = 0.0;        ///< vtime spent in barrier/flag sync waits
-    std::uint64_t retransmits = 0;   ///< robust DATA frames retransmitted
-    std::uint64_t degradations = 0;  ///< ladder downgrades (Flags->Barrier, ->flat)
+    /// Robust DATA frames retransmitted [finalize: RobustStats::retries].
+    std::uint64_t retransmits = 0;
+    /// Ladder downgrades, Flags->Barrier and ->flat [finalize:
+    /// RobustStats::sync_downgrades + flat_downgrades].
+    std::uint64_t degradations = 0;
     std::uint64_t chunks = 0;        ///< pipeline chunks processed by this rank
-    std::uint64_t failures_detected = 0;  ///< peer process deaths observed
-    std::uint64_t shrinks = 0;       ///< agree+shrink recoveries completed
+    /// Peer process deaths observed [finalize: RobustStats, same name].
+    std::uint64_t failures_detected = 0;
+    /// Agree+shrink recoveries completed [finalize: RobustStats, same name].
+    std::uint64_t shrinks = 0;
     std::uint64_t tenant_jobs = 0;   ///< service jobs completed on this rank
 
     Counters& operator+=(const Counters& o) {

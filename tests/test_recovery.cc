@@ -575,6 +575,9 @@ TEST(Recovery, RecoverySurvivesDropsDuringAgreement) {
     EXPECT_GT(res.stats.retries, 0u);
 }
 
+// Asserts recorded spans and counters, which -DHYMPI_TRACING=OFF compiles
+// out (test_trace.cc checks that build's contract).
+#if HYMPI_TRACE_ENABLED
 TEST(Recovery, RecoverySpansAndCountersRecorded) {
     KillCaseOpts o;
     o.victims = {4};
@@ -605,6 +608,7 @@ TEST(Recovery, RecoverySpansAndCountersRecorded) {
     EXPECT_EQ(agg.shrinks, res.stats.shrinks);
     EXPECT_EQ(agg.failures_detected, res.stats.failures_detected);
 }
+#endif  // HYMPI_TRACE_ENABLED
 
 TEST(Recovery, FaultFreeRunKeepsRecoveryCountersZero) {
     // Robustness ON but no faults: the failure machinery must not move a
