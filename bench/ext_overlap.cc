@@ -1,8 +1,7 @@
 // Extension bench (paper conclusion + ROADMAP item 2): split-phase hybrid
 // collectives posted on the virtual-time progress engine. start() returns a
 // CollRequest; compute charged before wait() overlaps the bridge exchange —
-// including the LEADER's own compute, which the old begin()/finish() split
-// could never hide (its caller blocked inside begin()).
+// including the LEADER's own compute.
 //
 // Two views, both vendor profiles, pinned as BENCH_overlap_*.json:
 //   1. Hy_Allgather compute:comm ratio sweep — the overlap law

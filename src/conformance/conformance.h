@@ -17,6 +17,7 @@
 /// minimal reproducer (seed + topology + size) before being reported.
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -160,10 +161,13 @@ struct HarnessReport {
 };
 
 /// Generate and check @p ncases specs. Stops at the first failure, shrinks
-/// it, and formats the minimized reproducer into the report.
+/// it, and formats the minimized reproducer into the report. When
+/// @p progress is non-null, "case <i>: <spec>" is written and flushed to it
+/// BEFORE case i runs, so a case that never returns is still named.
 HarnessReport run_random_cases(std::uint64_t master_seed, int ncases,
                                bool with_faults = true,
-                               bool with_kills = false);
+                               bool with_kills = false,
+                               std::ostream* progress = nullptr);
 
 namespace detail {
 

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <ostream>
 #include <sstream>
 
 #include "conformance/conformance.h"
@@ -213,11 +214,15 @@ CaseSpec shrink(const CaseSpec& failing, int max_runs) {
 }
 
 HarnessReport run_random_cases(std::uint64_t master_seed, int ncases,
-                               bool with_faults, bool with_kills) {
+                               bool with_faults, bool with_kills,
+                               std::ostream* progress) {
     HarnessReport rep;
     for (int i = 0; i < ncases; ++i) {
         const CaseSpec spec =
             generate_case(master_seed, i, with_faults, with_kills);
+        if (progress) {
+            *progress << "case " << i << ": " << spec.describe() << std::endl;
+        }
         ++rep.cases;
         const CaseResult res = run_case_checked(spec);
         if (res.ok) continue;

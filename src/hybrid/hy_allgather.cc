@@ -188,8 +188,6 @@ BridgeAlgo AllgatherChannel::tuned_bridge_algo(std::size_t& seg) const {
                       hc_->bridge().size(), max_bridge_count_);
     if (c.has_value()) {
         switch (c->algo) {
-            case tuning::algo::kBrBcast:
-                return BridgeAlgo::Bcast;
             case tuning::algo::kBrPipelined:
                 if (seg == 0) seg = c->segment_bytes;
                 seg = detail::clamp_segment(seg, kPipelineSegmentBytes,
@@ -208,30 +206,16 @@ BridgeAlgo AllgatherChannel::tuned_bridge_algo(std::size_t& seg) const {
     return BridgeAlgo::Allgatherv;  // the paper's default
 }
 
-std::size_t AllgatherChannel::tuned_split_segment() const {
-    const tuning::DecisionTable* table = hc_->world().ctx().tuned;
-    if (table == nullptr) return 0;
-    const auto c =
-        table->lookup(tuning::Op::SplitSegment, tuning::Shape::Net,
-                      hc_->bridge().size(), max_bridge_count_);
-    if (c.has_value() && c->algo == tuning::algo::kSpSegmented) {
-        return c->segment_bytes;
-    }
-    return 0;
-}
-
-void AllgatherChannel::bridge_exchange(BridgeAlgo algo,
-                                       std::size_t seg_override) {
+void AllgatherChannel::bridge_exchange(BridgeAlgo algo) {
     const Comm& bridge = hc_->bridge();
     const int bp = bridge.size();
     const int br = bridge.rank();
     if (bp <= 1) return;
     minimpi::RankCtx& ctx = bridge.ctx();
 
-    // An explicit set_pipeline_segment() wins; then the split-phase tuned
-    // chunk; then the tuned/heuristic resolution below.
-    std::size_t seg =
-        pipeline_segment_ != 0 ? pipeline_segment_ : seg_override;
+    // An explicit set_pipeline_segment() wins over the tuned/heuristic
+    // resolution below.
+    std::size_t seg = pipeline_segment_;
     if (algo == BridgeAlgo::Auto) algo = tuned_bridge_algo(seg);
     // Neighbor exchange pairs up adjacent blocks: it needs an even bridge
     // and abutting slices (one leader per node). The fallback is the
@@ -656,42 +640,6 @@ void AllgatherChannel::run(SyncPolicy sync, BridgeAlgo algo) {
     }
 }
 
-void AllgatherChannel::begin(SyncPolicy sync, BridgeAlgo algo) {
-    minimpi::RankCtx& ctx = hc_->world().ctx();
-    TraceSpan root(ctx, hytrace::Phase::Coll, "hy_allgather_begin");
-    root.set_coll("Hy_Allgather_begin");
-    root.set_bytes(total_bytes_);
-    root.set_comm(hc_->world().size(), hc_->world().rank());
-    const RobustConfig* cfg = ctx.robust_cfg;
-    const bool robust = cfg != nullptr && cfg->enabled;
-    ++generation_;
-    if (degraded_flat_) {
-        // Flat path: the exchange is deferred to finish() so callers still
-        // get a compute window on their own partition in between.
-        began_flat_ = true;
-        return;
-    }
-    if (hc_->num_nodes() == 1) {
-        sync_.ready_phase(sync);
-        return;
-    }
-    sync_.ready_phase(sync);
-    if (hc_->is_leader()) {
-        // CAUTION: the leader's compute window only opens after its
-        // transfers; children's opens immediately — that asymmetry is the
-        // paper's "idle cores" discussion and exactly what overlap buys.
-        if (!robust) {
-            bridge_exchange(algo);
-        } else {
-            const bool ok = robust_bridge_exchange();
-            if (robust::agree_failure(hc_->bridge(), !ok, gen64(), *cfg,
-                                      stats_)) {
-                fail_shared_->fail_gen.store(gen64());
-            }
-        }
-    }
-}
-
 minimpi::CollRequest AllgatherChannel::start(SyncPolicy sync,
                                              BridgeAlgo algo) {
     const Comm& world = hc_->world();
@@ -732,7 +680,8 @@ minimpi::CollRequest AllgatherChannel::start(SyncPolicy sync,
         fin.set_coll("Hy_Allgather_finish");
         fin.set_comm(hc_->world().size(), hc_->world().rank());
         sync_.release_phase(started_sync_);
-        // Same rationale as finish(): children already overlapped, so a
+        // The split phase keeps the flat on-node distribution: every rank
+        // already overlapped compute with the leaders' transfers, and a
         // staged mirror would re-serialize them behind the socket leader.
         stager_.distribute(total_bytes_, SocketStaging::Flat);
     };
@@ -759,42 +708,18 @@ minimpi::CollRequest AllgatherChannel::start(SyncPolicy sync,
             world, "hy_iallgather", std::move(on_wait)));
     }
     started_algo_ = algo;
-    started_seg_ = tuned_split_segment();
     if (task_ == nullptr) {
         // One-off: the engine worker and private matching context persist
         // across rounds (the lazy creation is collective over the bridge —
         // every leader's first start() happens in the same round).
         task_ = minimpi::detail::create_icoll(
             hc_->bridge(), "hy_iallgather",
-            [this] { bridge_exchange(started_algo_, started_seg_); },
+            [this] { bridge_exchange(started_algo_); },
             std::move(on_wait));
     }
     minimpi::detail::arm_icoll(*task_);
     minimpi::detail::drive_icoll(*task_);
     return minimpi::CollRequest(task_);
-}
-
-void AllgatherChannel::finish(SyncPolicy sync) {
-    minimpi::RankCtx& fctx = hc_->world().ctx();
-    TraceSpan root(fctx, hytrace::Phase::Coll, "hy_allgather_finish");
-    root.set_coll("Hy_Allgather_finish");
-    root.set_comm(hc_->world().size(), hc_->world().rank());
-    if (began_flat_) {
-        began_flat_ = false;
-        run_flat();
-        return;
-    }
-    sync_.release_phase(sync);
-    // The split-phase variant keeps the flat on-node distribution: children
-    // already overlap compute with the leaders' transfers, and a staged
-    // mirror would re-serialize them behind the socket leader.
-    stager_.distribute(total_bytes_, SocketStaging::Flat);
-    minimpi::RankCtx& ctx = hc_->world().ctx();
-    const RobustConfig* cfg = ctx.robust_cfg;
-    if (cfg != nullptr && cfg->enabled && hc_->num_nodes() > 1 &&
-        fail_shared_ != nullptr && fail_shared_->fail_gen.load() == gen64()) {
-        downgrade_to_flat(/*refill=*/true);
-    }
 }
 
 namespace detail {

@@ -123,28 +123,22 @@ public:
     /// retries or SHM allocation failure). Sticky for the channel lifetime.
     bool degraded_flat() const { return degraded_flat_; }
 
-    /// Split-phase variant implementing the overlap the paper's conclusion
-    /// describes: "it is straightforward to let the on-node MPI processes
-    /// overlap with the network traffic by working on their own data
-    /// regions". begin() runs the ready sync and — on leaders — the bridge
-    /// exchange; between begin() and finish() every rank may compute on its
-    /// OWN partition (children genuinely overlap the leaders' transfers);
-    /// finish() runs the release sync, after which all blocks are readable.
-    void begin(SyncPolicy sync = SyncPolicy::Barrier,
-               BridgeAlgo algo = BridgeAlgo::Auto);
-    void finish(SyncPolicy sync = SyncPolicy::Barrier);
-
-    /// Nonblocking split-phase round on the progress engine: runs the ready
-    /// sync, posts the leaders' bridge exchange as an engine task (charged
-    /// to the request's sub-clock, so it overlaps caller compute on ANY
-    /// rank — unlike begin(), which blocks the leader until its transfers
-    /// are done), and defers the release sync + on-node NUMA copy to the
-    /// returned request's wait(). The channel is the persistent descriptor:
-    /// the HierComm, SHM window, SocketStager, bridge layout and the
-    /// leader's engine worker are all cached across start() calls — only
-    /// one round may be in flight per channel at a time (RequestError
-    /// otherwise). Robust mode completes synchronously at post (the
-    /// reliable frame paths are main-clock by design).
+    /// Nonblocking split-phase round on the progress engine — the overlap
+    /// the paper's conclusion describes: "it is straightforward to let the
+    /// on-node MPI processes overlap with the network traffic by working on
+    /// their own data regions". Runs the ready sync, posts the leaders'
+    /// bridge exchange as an engine task (charged to the request's
+    /// sub-clock, so it overlaps caller compute on ANY rank, leaders
+    /// included), and defers the release sync + on-node NUMA copy to the
+    /// returned request's wait(). Between start() and wait() every rank may
+    /// compute on its OWN partition; after wait() all blocks are readable.
+    /// The channel is the persistent descriptor: the HierComm, SHM window,
+    /// SocketStager, bridge layout and the leader's engine worker are all
+    /// cached across start() calls — only one round may be in flight per
+    /// channel at a time (RequestError otherwise). Robust mode completes
+    /// synchronously at post (the reliable frame paths are main-clock by
+    /// design); a flat-degraded channel defers its flat allgatherv to
+    /// wait().
     minimpi::CollRequest start(SyncPolicy sync = SyncPolicy::Barrier,
                                BridgeAlgo algo = BridgeAlgo::Auto);
 
@@ -172,18 +166,11 @@ public:
 
 private:
     void init_layout(std::span<const std::size_t> bytes_per_rank);
-    /// @p seg_override: a split-phase segment choice (tuning::Op::
-    /// SplitSegment) applied when set_pipeline_segment() has not pinned one.
-    void bridge_exchange(BridgeAlgo algo, std::size_t seg_override = 0);
+    void bridge_exchange(BridgeAlgo algo);
     /// Resolve BridgeAlgo::Auto via the profile's decision table, keyed by
     /// (bridge size, largest node-block byte count). May set @p seg when
     /// the table tuned a pipeline segment size.
     BridgeAlgo tuned_bridge_algo(std::size_t& seg) const;
-    /// Tuned chunk size of the split-phase (engine-driven) bridge exchange
-    /// (tuning::Op::SplitSegment); 0 = no tuned entry / "whole" = keep the
-    /// per-algorithm heuristic. Tables without split_segment rows — all
-    /// currently baked ones — leave the split phase identical to run().
-    std::size_t tuned_split_segment() const;
 
     /// Robust-mode leader exchange: pairwise ring of reliable (ARQ)
     /// transfers over the bridge. Returns false when any transfer exhausted
@@ -244,7 +231,6 @@ private:
     std::shared_ptr<minimpi::detail::IcollState> task_;
     BridgeAlgo started_algo_ = BridgeAlgo::Auto;  ///< algo of the armed round
     SyncPolicy started_sync_ = SyncPolicy::Barrier;
-    std::size_t started_seg_ = 0;  ///< tuned split-segment of the armed round
     /// A split-phase round is in flight on THIS rank (children have no
     /// engine task, so the guard cannot live on task_ alone).
     bool round_active_ = false;
@@ -254,9 +240,8 @@ private:
 
     // --- resilience state (robust mode only; inert on the fast path) ---
     std::uint64_t chan_uid_ = 0;    ///< program-order channel id
-    std::uint64_t generation_ = 0;  ///< run()/begin() round counter
+    std::uint64_t generation_ = 0;  ///< run()/start() round counter
     bool degraded_flat_ = false;    ///< sticky hybrid->flat downgrade
-    bool began_flat_ = false;       ///< begin() ran on the flat path
     std::vector<std::byte> flat_buf_;          ///< private slot-major copy
     std::vector<std::size_t> flat_counts_;     ///< per world rank, bytes
     std::vector<std::size_t> flat_displs_;     ///< per world rank, bytes

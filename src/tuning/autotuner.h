@@ -69,8 +69,8 @@ Choice legacy_choice(const minimpi::ModelParams& profile, Op op,
 /// the matching cluster (Net: comm_size nodes x 1 rank, Shm: 1 node), runs
 /// the candidate cfg.warmup + cfg.iters times in SizeOnly mode, returns
 /// the max per-iteration latency over ranks. For Op::BridgeExchange the
-/// candidates that delegate to minimpi collectives run under whatever
-/// table is currently registered for the profile.
+/// vendor-allgatherv candidate, which delegates to the minimpi collective,
+/// runs under whatever table is currently registered for the profile.
 double measure(const minimpi::ModelParams& profile, Op op, Shape shape,
                int comm_size, std::size_t bytes, const Choice& choice,
                const TuneConfig& cfg);

@@ -15,12 +15,10 @@ namespace tuning {
 
 namespace {
 
-const char* const kOpNames[kNumOps] = {"allgather",       "allgatherv",
-                                       "bcast",           "allreduce",
-                                       "barrier",         "bridge_exchange",
-                                       "socket_staging",  "split_segment",
-                                       "chunk_size",      "loc_bruck",
-                                       "batch_window"};
+const char* const kOpNames[kNumOps] = {
+    "allgather",  "allgatherv",      "bcast",
+    "allreduce",  "bridge_exchange", "socket_staging",
+    "chunk_size", "loc_bruck",       "batch_window"};
 const char* const kShapeNames[kNumShapes] = {"net", "shm"};
 
 /// Per-op algorithm name tables, indexed by the algo:: constants.
@@ -30,11 +28,9 @@ const std::vector<const char*>& algo_names(Op op) {
         {"bruck", "ring"},                               // Allgatherv
         {"binomial", "pipelined"},                       // Bcast
         {"recursive_doubling", "ring"},                  // Allreduce
-        {"dissemination", "tree"},                       // Barrier
-        {"allgatherv", "bcast", "pipelined", "bruckv",   // BridgeExchange
+        {"allgatherv", "pipelined", "bruckv",            // BridgeExchange
          "neighbor_exchange"},
         {"flat", "staged"},                              // SocketStaging
-        {"whole", "segmented"},                          // SplitSegment
         {"whole", "pipelined"},                          // ChunkSize
         {"per_leader", "combined"},                      // LocBruck
         {"off", "fused"},                                // BatchWindow

@@ -13,12 +13,15 @@
 // asserts every tenant's per-job digests are byte-identical to the same
 // tenant running solo (cross-tenant contention may reorder time, never
 // bytes). --list prints each case spec without running it (useful to
-// eyeball what a seed covers). Exit code 0 = all cases passed.
+// eyeball what a seed covers). While running, each case's spec goes to
+// stderr before the case starts, so the last stderr line names a case that
+// hangs. Exit code 0 = all cases passed.
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iostream>
 #include <string>
 
 #include "conformance/conformance.h"
@@ -101,9 +104,10 @@ int main(int argc, char** argv) {
     }
 
     if (cases > 0) {
-        const auto report = conformance::run_random_cases(seed, cases,
-                                                          with_faults,
-                                                          with_kills);
+        // Each case spec goes to stderr (flushed) before the case runs, so
+        // a case that hangs until an outer timeout is still named.
+        const auto report = conformance::run_random_cases(
+            seed, cases, with_faults, with_kills, &std::cerr);
         if (report.failures != 0) {
             std::fprintf(stderr, "conformance FAILURE after %d cases:\n%s\n",
                          report.cases, report.first_failure.c_str());

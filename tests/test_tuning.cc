@@ -4,12 +4,18 @@
 //    previous hardcoded (threshold) choice;
 //  - table lookup is deterministic and exact at grid points;
 //  - serialize/parse round-trips;
-//  - the checked-in baked tables exist and cover every tuned operation.
+//  - the checked-in baked tables exist and cover every tuned operation;
+//  - every candidate the tuner sweeps wins at least one baked row, so a
+//    variant the tables never select cannot linger in the code.
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
+#include <set>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "minimpi/netmodel.h"
@@ -24,8 +30,13 @@ using tuning::Op;
 using tuning::Shape;
 using tuning::TuneConfig;
 
-const Op kAllOps[] = {Op::Allgather, Op::Allgatherv,      Op::Bcast,
-                      Op::Allreduce, Op::Barrier,         Op::BridgeExchange};
+/// Every op tune_profile sweeps. An op without a sweep could only get rows
+/// from hand-written tables, so every tuned op must be swept.
+const Op kAllOps[] = {Op::Allgather,     Op::Allgatherv, Op::Bcast,
+                      Op::Allreduce,     Op::BridgeExchange,
+                      Op::SocketStaging, Op::ChunkSize,  Op::LocBruck,
+                      Op::BatchWindow};
+static_assert(std::size(kAllOps) == tuning::kNumOps);
 
 /// The quick grid, shared by the tests so each profile is tuned once.
 const DecisionTable& quick_table(const minimpi::ModelParams& profile) {
@@ -71,7 +82,6 @@ std::vector<GridPoint> quick_grid() {
     sweep(Op::Bcast, Shape::Shm, cfg.shm_sizes, cfg.message_bytes, false);
     sweep(Op::Allreduce, Shape::Net, cfg.net_sizes, cfg.message_bytes, false);
     sweep(Op::Allreduce, Shape::Shm, cfg.shm_sizes, cfg.message_bytes, false);
-    sweep(Op::Barrier, Shape::Net, cfg.net_sizes, {0}, false);
     sweep(Op::BridgeExchange, Shape::Net, cfg.bridge_sizes,
           cfg.bridge_block_bytes, false);
     return pts;
@@ -148,6 +158,48 @@ TEST_P(TunedVsLegacyP, BakedTableCoversAllOps) {
     }
 }
 
+// A candidate that wins no row of either baked table is dead code: the
+// tables never select it, so it only costs sweep time and review. Checks
+// the union of both profiles' tables (a variant may win on one vendor
+// only), at every comm size of the full grid.
+TEST_P(TunedVsLegacyP, EverySweptCandidateWinsABakedRow) {
+    std::set<std::pair<std::string, std::string>> winners;  // (op, algo)
+    for (const char* name : {"cray", "openmpi"}) {
+        const tuning::DecisionTable* baked = tuning::find_table(name);
+        ASSERT_NE(baked, nullptr) << name;
+        // Rows serialize as "entry <op> <shape> <size> <bytes> <algo> <seg>".
+        std::istringstream rows(baked->serialize());
+        std::string line;
+        while (std::getline(rows, line)) {
+            std::istringstream ls(line);
+            std::string kw, op, shape, size, bytes, algo;
+            if (ls >> kw >> op >> shape >> size >> bytes >> algo &&
+                kw == "entry") {
+                winners.emplace(op, algo);
+            }
+        }
+    }
+    const TuneConfig cfg = TuneConfig::full();
+    std::vector<int> sizes = cfg.net_sizes;
+    sizes.insert(sizes.end(), cfg.shm_sizes.begin(), cfg.shm_sizes.end());
+    sizes.insert(sizes.end(), cfg.bridge_sizes.begin(),
+                 cfg.bridge_sizes.end());
+    for (Op op : kAllOps) {
+        std::set<std::uint8_t> offered;
+        for (int s : sizes) {
+            for (const Choice& c : tuning::candidates(op, s, cfg)) {
+                offered.insert(c.algo);
+            }
+        }
+        for (std::uint8_t a : offered) {
+            EXPECT_TRUE(winners.count({tuning::op_name(op),
+                                       tuning::algo_name(op, a)}))
+                << tuning::op_name(op) << "/" << tuning::algo_name(op, a)
+                << " is swept but wins no baked row";
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(Profiles, TunedVsLegacyP,
                          ::testing::Values("cray", "openmpi"),
                          [](const auto& info) { return std::string(info.param); });
@@ -174,7 +226,7 @@ TEST(DecisionTable, LookupIsExactAtGridPointsAndRoundsInLogSpace) {
     EXPECT_EQ(t.lookup(Op::Bcast, Shape::Net, 17, 1024)->segment_bytes,
               2048u);
     // Untuned (op, shape) pairs report "no entry".
-    EXPECT_FALSE(t.lookup(Op::Barrier, Shape::Net, 8, 0).has_value());
+    EXPECT_FALSE(t.lookup(Op::Allreduce, Shape::Net, 8, 1024).has_value());
 }
 
 TEST(DecisionTable, ParseRejectsMalformedInput) {
@@ -187,6 +239,17 @@ TEST(DecisionTable, ParseRejectsMalformedInput) {
         DecisionTable::parse("profile x\nentry nosuchop net 4 64 ring 0\n"),
         std::runtime_error);
     EXPECT_THROW(DecisionTable::parse("profile x\nwhat 1 2\n"),
+                 std::runtime_error);
+    // Retired ops and candidates are rejected, not silently ignored: old
+    // table files must be regenerated.
+    EXPECT_THROW(DecisionTable::parse(
+                     "profile x\nentry barrier net 4 0 dissemination 0\n"),
+                 std::runtime_error);
+    EXPECT_THROW(DecisionTable::parse(
+                     "profile x\nentry split_segment net 4 64 whole 0\n"),
+                 std::runtime_error);
+    EXPECT_THROW(DecisionTable::parse(
+                     "profile x\nentry bridge_exchange net 4 64 bcast 0\n"),
                  std::runtime_error);
 }
 
