@@ -152,7 +152,11 @@ CaseResult run_case_checked(const CaseSpec& spec);
 /// Greedily minimize a failing spec — node count, ppn, payload size,
 /// iterations, leaders, sub-communicator, faults — while it keeps failing.
 /// Each candidate costs one run_case_checked; bounded by @p max_runs.
-CaseSpec shrink(const CaseSpec& failing, int max_runs = 160);
+/// When @p progress is non-null, "shrink probe <k>: <spec>" is written and
+/// flushed to it BEFORE probe k runs, so a probe that never returns is
+/// still named.
+CaseSpec shrink(const CaseSpec& failing, int max_runs = 160,
+                std::ostream* progress = nullptr);
 
 struct HarnessReport {
     int cases = 0;

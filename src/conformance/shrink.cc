@@ -10,9 +10,15 @@ namespace {
 
 /// A candidate is accepted only if the mutated spec STILL fails — each
 /// probe costs one checked (double) execution against the budget.
-bool still_fails(const CaseSpec& spec, int& budget) {
+bool still_fails(const CaseSpec& spec, int& budget, int& probes,
+                 std::ostream* progress) {
     if (budget <= 0) return false;
     --budget;
+    if (progress) {
+        *progress << "shrink probe " << probes << ": " << spec.describe()
+                  << std::endl;
+    }
+    ++probes;
     return !run_case_checked(spec).ok;
 }
 
@@ -43,12 +49,14 @@ bool kill_spec_valid(const CaseSpec& c) {
 
 }  // namespace
 
-CaseSpec shrink(const CaseSpec& failing, int max_runs) {
+CaseSpec shrink(const CaseSpec& failing, int max_runs,
+                std::ostream* progress) {
     CaseSpec cur = failing;
     int budget = max_runs;
-    bool progress = true;
-    while (progress && budget > 0) {
-        progress = false;
+    int probes = 0;
+    bool improved = true;
+    while (improved && budget > 0) {
+        improved = false;
         std::vector<CaseSpec> cands;
 
         // Kill dimension before everything else (even the payload faults):
@@ -202,9 +210,9 @@ CaseSpec shrink(const CaseSpec& failing, int max_runs) {
         for (const CaseSpec& cand : cands) {
             if (same_spec(cand, cur)) continue;
             if (!kill_spec_valid(cand)) continue;
-            if (still_fails(cand, budget)) {
+            if (still_fails(cand, budget, probes, progress)) {
                 cur = cand;
-                progress = true;
+                improved = true;
                 break;  // restart the candidate ladder from the new spec
             }
             if (budget <= 0) break;
@@ -227,7 +235,7 @@ HarnessReport run_random_cases(std::uint64_t master_seed, int ncases,
         const CaseResult res = run_case_checked(spec);
         if (res.ok) continue;
         ++rep.failures;
-        const CaseSpec small = shrink(spec);
+        const CaseSpec small = shrink(spec, 160, progress);
         const CaseResult sres = run_case_checked(small);
         std::ostringstream os;
         os << "case " << i << " (master_seed=" << master_seed << ") failed\n"

@@ -80,8 +80,9 @@ void confirm_agreement(const minimpi::Comm& world,
 }  // namespace
 
 void revoke_hierarchy(const HierComm& hc) {
-    // World first: the NodeSync poll loops watch the world comm's revoked
-    // flag, so flag waiters unblock as soon as any level is torn down.
+    // World first: NodeSync flag waiters re-check the world comm's revoked
+    // flag when the revocation rings them, so they unblock as soon as any
+    // level is torn down.
     hc.world().revoke();
     hc.shm().revoke();
     if (hc.bridge().valid()) hc.bridge().revoke();

@@ -1,7 +1,5 @@
 #include "hybrid/sync.h"
 
-#include <chrono>
-
 #include "hybrid/hy_trace.h"
 #include "minimpi/runtime.h"
 #include "minimpi/transport.h"
@@ -57,12 +55,11 @@ NodeSync::NodeSync(const HierComm& hc) : hc_(&hc) {
         shm.state(), ctx, shm.rank(),
         ctx.runtime->one_off_sync_cost(shm.size()), [](Boot&) {},
         [&](Boot& b) {
-            b.shared = std::make_shared<Shared>();
-            b.shared->ready.resize(static_cast<std::size_t>(shm.size()));
-            b.shared->release.resize(static_cast<std::size_t>(shm.size()));
-            b.shared->chunk.resize(static_cast<std::size_t>(shm.size()) + 1 +
-                                   static_cast<std::size_t>(
-                                       hc.sockets_on_node()));
+            const auto ppn = static_cast<std::size_t>(shm.size());
+            b.shared = std::make_shared<Shared>(
+                ppn, ppn + 1 + static_cast<std::size_t>(hc.sockets_on_node()));
+            ctx.runtime->register_wake_words(b.shared,
+                                             b.shared->wake_words());
         });
     shared_ = boot->shared;
     chunk_next_.assign(shared_->chunk.size(), 0);
@@ -71,14 +68,52 @@ NodeSync::NodeSync(const HierComm& hc) : hc_(&hc) {
     }
 }
 
+std::vector<minimpi::WakeWord*> NodeSync::Shared::wake_words() {
+    std::vector<minimpi::WakeWord*> words;
+    words.reserve(ready.size() + release.size() + chunk.size());
+    for (Cell& c : ready) words.push_back(&c.wake);
+    for (Cell& c : release) words.push_back(&c.wake);
+    for (ChunkSlot& c : chunk) words.push_back(&c.wake);
+    return words;
+}
+
 void NodeSync::signal(Cell& c, minimpi::RankCtx& ctx) {
     minimpi::detail::check_alive(ctx);
     ctx.clock.advance(ctx.model->flag_signal_us);
     if (xsocket_flags_) ctx.clock.advance(ctx.model->xsocket_flag_penalty_us);
-    std::lock_guard<std::mutex> lock(shared_->mu);
-    c.vtime = ctx.clock.now();
-    ++c.seq;
-    shared_->cv.notify_all();
+    c.vtime.store(ctx.clock.now(), std::memory_order_relaxed);
+    c.seq.fetch_add(1, std::memory_order_release);
+    c.wake.ring();
+}
+
+void NodeSync::park_until(const std::atomic<std::uint64_t>& seq,
+                          std::uint64_t target, const minimpi::WakeWord& wake,
+                          minimpi::RankCtx& ctx, int owner_world) {
+    // The snapshot precedes every check, so a signal or interrupt ringing
+    // after them is never lost. A flag its owner published before dying
+    // happens-before the death, so the re-check after an interrupt always
+    // consumes it: whether a dead owner's flag raises stays a function of
+    // the program, not of host timing.
+    minimpi::Transport& tp = ctx.runtime->transport();
+    auto reached = [&] {
+        return seq.load(std::memory_order_acquire) >= target;
+    };
+    for (;;) {
+        const std::uint32_t seen = wake.snapshot();
+        if (reached()) return;
+        const bool poisoned = tp.poisoned();
+        const bool owner_dead =
+            owner_world >= 0 && tp.any_dead() && tp.is_dead(owner_world);
+        const bool revoked =
+            hc_->world().state().revoked.load(std::memory_order_acquire);
+        if (poisoned || owner_dead || revoked) {
+            if (reached()) return;
+            if (poisoned) tp.check_poison();
+            if (owner_dead) throw_flag_owner_dead(ctx, tp, owner_world);
+            throw minimpi::CommRevokedError();
+        }
+        wake.wait(seen);
+    }
 }
 
 void NodeSync::wait_for(const Cell& c, std::uint64_t target,
@@ -86,33 +121,8 @@ void NodeSync::wait_for(const Cell& c, std::uint64_t target,
                         int owner_world) {
     minimpi::detail::check_alive(ctx);
     const VTime wait_begin = ctx.clock.now();
-    std::unique_lock<std::mutex> lock(shared_->mu);
-    // Poison-aware wait: a peer that threw (e.g. an exhausted robust retry
-    // budget on a path with no degradation rung) poisons the transport but
-    // has no way to signal this condition variable — poll so an aborted job
-    // unblocks flag waiters instead of hanging them. The timeout is wall
-    // clock only; virtual time is untouched by spurious wakeups. The same
-    // poll notices a dead flag owner (the flag will never be published) and
-    // a revoked world comm (some survivor started recovery) — completion
-    // wins: the predicate is re-checked before every interrupt check, so a
-    // flag published before the failure is always consumed normally.
-    minimpi::Transport& tp = ctx.runtime->transport();
-    while (!shared_->cv.wait_for(lock, std::chrono::milliseconds(2),
-                                 [&] { return c.seq >= target; })) {
-        if (tp.poisoned()) {
-            lock.unlock();
-            tp.check_poison();
-        }
-        if (owner_world >= 0 && tp.any_dead() && tp.is_dead(owner_world)) {
-            lock.unlock();
-            throw_flag_owner_dead(ctx, tp, owner_world);
-        }
-        if (hc_->world().state().revoked.load(std::memory_order_acquire)) {
-            lock.unlock();
-            throw minimpi::CommRevokedError();
-        }
-    }
-    const VTime signal_time = c.vtime;
+    park_until(c.seq, target, c.wake, ctx, owner_world);
+    const VTime signal_time = c.vtime.load(std::memory_order_relaxed);
     // Progress watchdog: a flag that was published later than the virtual-
     // time deadline counts as a divergence trip (a straggling rank whose
     // flag rounds lag the node). Trips feed the Flags -> Barrier ladder.
@@ -124,10 +134,10 @@ void NodeSync::wait_for(const Cell& c, std::uint64_t target,
     const hympi::RobustConfig* cfg = ctx.robust_cfg;
     if (count_trips && cfg != nullptr && cfg->enabled &&
         signal_time > wait_begin + cfg->watchdog_us) {
+        std::lock_guard<std::mutex> lock(shared_->mu);
         shared_->trips += 1;
         ctx.robust_stats.sync_trips += 1;
     }
-    lock.unlock();
     ctx.clock.sync_to(signal_time);
     ctx.clock.advance(ctx.model->flag_poll_us);
     if (xsocket_flags_) ctx.clock.advance(ctx.model->xsocket_flag_penalty_us);
@@ -157,11 +167,13 @@ void NodeSync::chunk_signal(int slot) {
     ctx.clock.advance(ctx.model->flag_signal_us);
     if (xsocket_flags_) ctx.clock.advance(ctx.model->xsocket_flag_penalty_us);
     ChunkSlot& c = shared_->chunk[static_cast<std::size_t>(slot)];
-    std::lock_guard<std::mutex> lock(shared_->mu);
-    c.stamps.push_back(ctx.clock.now());
-    ++c.seq;
+    {
+        std::lock_guard<std::mutex> lock(shared_->mu);
+        c.stamps.push_back(ctx.clock.now());
+    }
+    c.seq.fetch_add(1, std::memory_order_release);
     ++chunk_next_[static_cast<std::size_t>(slot)];
-    shared_->cv.notify_all();
+    c.wake.ring();
 }
 
 void NodeSync::chunk_wait(int slot, std::uint64_t target) {
@@ -169,34 +181,17 @@ void NodeSync::chunk_wait(int slot, std::uint64_t target) {
     minimpi::detail::check_alive(ctx);
     const VTime wait_begin = ctx.clock.now();
     const ChunkSlot& c = shared_->chunk[static_cast<std::size_t>(slot)];
-    std::unique_lock<std::mutex> lock(shared_->mu);
-    // Same poison-aware poll as wait_for, plus the failure checks: the
-    // slot's publisher is derivable from the slot index, so a dead
-    // publisher (or a revoked world comm) interrupts the wait instead of
-    // hanging the pipeline.
-    minimpi::Transport& tp = ctx.runtime->transport();
-    while (!shared_->cv.wait_for(lock, std::chrono::milliseconds(2),
-                                 [&] { return c.seq >= target; })) {
-        if (tp.poisoned()) {
-            lock.unlock();
-            tp.check_poison();
-        }
-        if (tp.any_dead()) {
-            const int owner = chunk_slot_owner(slot);
-            if (owner >= 0 && tp.is_dead(owner)) {
-                lock.unlock();
-                throw_flag_owner_dead(ctx, tp, owner);
-            }
-        }
-        if (hc_->world().state().revoked.load(std::memory_order_acquire)) {
-            lock.unlock();
-            throw minimpi::CommRevokedError();
-        }
-    }
+    // The slot's publisher is derivable from the slot index, so a dead
+    // publisher interrupts the wait instead of hanging the pipeline.
+    park_until(c.seq, target, c.wake, ctx, chunk_slot_owner(slot));
     // This chunk's OWN stamp, read by index from the append-only log — the
-    // publisher may already be several chunks ahead in wall-clock time.
-    const VTime signal_time = c.stamps[static_cast<std::size_t>(target - 1)];
-    lock.unlock();
+    // publisher may already be several chunks ahead in wall-clock time
+    // (appending under mu, which may reallocate the log).
+    VTime signal_time;
+    {
+        std::lock_guard<std::mutex> lock(shared_->mu);
+        signal_time = c.stamps[static_cast<std::size_t>(target - 1)];
+    }
     ctx.clock.sync_to(signal_time);
     ctx.clock.advance(ctx.model->flag_poll_us);
     if (xsocket_flags_) ctx.clock.advance(ctx.model->xsocket_flag_penalty_us);
@@ -243,9 +238,10 @@ void NodeSync::release_phase(SyncPolicy p) {
     if (hc_->is_leader()) {
         if (robust && hc_->is_primary_leader()) {
             // Downgrade decision, published BEFORE the round-R release
-            // signal: any rank that observes seq >= R (same mutex) also
-            // observes degrade_after, so the whole node flips at the same
-            // round boundary.
+            // signal: any rank that observes seq >= R (the signal's release
+            // increment orders this write before it) also observes
+            // degrade_after, so the whole node flips at the same round
+            // boundary.
             std::lock_guard<std::mutex> lock(shared_->mu);
             if (shared_->degrade_after == 0 &&
                 shared_->trips >=

@@ -1,13 +1,13 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <vector>
 
 #include "hybrid/hier_comm.h"
+#include "minimpi/wake_word.h"
 
 namespace hympi {
 
@@ -123,21 +123,34 @@ public:
     }
 
 private:
+    // Every flag owns the WakeWord its waiters park on: a signal rings only
+    // the waiters of that flag, and the Runtime rings all of a node's words
+    // on an interrupt — poison, a rank death, a revocation — so a parked
+    // waiter re-checks them. Each flag has a single publisher, which stores
+    // its payload (stamp) before it release-increments `seq`.
     struct Cell {
-        alignas(64) std::uint64_t seq = 0;
-        VTime vtime = 0.0;
+        alignas(64) std::atomic<std::uint64_t> seq{0};
+        std::atomic<VTime> vtime{0.0};
+        minimpi::WakeWord wake;
     };
     /// One publisher's pipeline flag: a monotone counter plus the
     /// append-only stamp log (stamps[i] is the vtime of signal i+1).
     struct ChunkSlot {
-        alignas(64) std::uint64_t seq = 0;
-        std::vector<VTime> stamps;
+        alignas(64) std::atomic<std::uint64_t> seq{0};
+        std::vector<VTime> stamps;  ///< guarded by Shared::mu
+        minimpi::WakeWord wake;
     };
     /// Host-shared state standing in for a flags window; the model charges
     /// the costs a window-resident flag array would incur.
     struct Shared {
+        Shared(std::size_t ppn, std::size_t chunk_slots)
+            : ready(ppn), release(ppn), chunk(chunk_slots) {}
+
+        /// Every wake word of the block (registered with the Runtime).
+        std::vector<minimpi::WakeWord*> wake_words();
+
+        /// Guards the chunk stamp logs, trips and degrade_after.
         std::mutex mu;
-        std::condition_variable cv;
         std::vector<Cell> ready;    ///< one per shm rank
         std::vector<Cell> release;  ///< one per leader (first L entries used)
         /// Pipeline flag slots: [0, ppn) per-rank chunk-ready, [ppn] the
@@ -159,11 +172,18 @@ private:
     /// @p owner_world is the world rank that publishes this cell (-1 = not
     /// tracked): a flag owned by a dead rank can never be published, so the
     /// waiter raises ProcessFailedError (charging the deterministic
-    /// detection latency) instead of spinning forever; a revoked world comm
+    /// detection latency) instead of waiting forever; a revoked world comm
     /// raises CommRevokedError so survivors blocked on live-but-erroring
     /// peers reach the recovery path too.
     void wait_for(const Cell& c, std::uint64_t target, minimpi::RankCtx& ctx,
                   bool count_trips, int owner_world = -1);
+    /// Park on @p wake until @p seq reaches @p target. An interrupt — a
+    /// poisoned job, a dead @p owner_world, a revoked world comm — raises
+    /// its typed error instead, unless the flag was published after all:
+    /// completion wins.
+    void park_until(const std::atomic<std::uint64_t>& seq,
+                    std::uint64_t target, const minimpi::WakeWord& wake,
+                    minimpi::RankCtx& ctx, int owner_world);
     /// World rank that publishes chunk flag @p slot (per-rank, node-release
     /// or socket-release slot).
     int chunk_slot_owner(int slot) const;

@@ -200,7 +200,7 @@ Comm Comm::agree_shrink(std::vector<int>* failed_world) const {
     // order, hence deterministic: a killed rank either reaches this call
     // before crossing its kill time (arrives, survives this round) or dies
     // at an earlier checkpoint (never arrives). Re-evaluated on every death
-    // notification (Runtime::on_rank_death wakes all op slots).
+    // notification (Runtime::on_rank_death rings every op slot).
     auto complete = [&] {
         int ndead = 0;
         for (int w : st.members) {
@@ -209,7 +209,8 @@ Comm Comm::agree_shrink(std::vector<int>* failed_world) const {
         return slot->arrived + ndead >= st.size();
     };
 
-    while (!slot->done) {
+    while (!slot->done.load(std::memory_order_acquire)) {
+        const std::uint32_t seen = slot->wake.snapshot();
         if (detail::job_poisoned(st)) {
             lock.unlock();
             detail::throw_if_poisoned(st);
@@ -230,17 +231,20 @@ Comm Comm::agree_shrink(std::vector<int>* failed_world) const {
             // Deliberately parentless: the recovery comm must survive
             // (re-)revocation of the broken comm it descends from.
             d.child = rt->create_comm(std::move(survivors));
-            slot->done = true;
-            slot->cv.notify_all();
+            slot->done.store(true, std::memory_order_release);
+            slot->wake.ring();
             break;
         }
-        slot->cv.wait(lock);
+        lock.unlock();
+        slot->wake.wait(seen);
+        lock.lock();
     }
 
     CommState* child = data->child;
     const std::vector<int> failed = data->failed;
     const VTime max_clock = slot->max_clock;
-    if (++slot->left == child->size()) {
+    if (slot->left.fetch_add(1, std::memory_order_relaxed) + 1 ==
+        child->size()) {
         st.ops.erase(key);
     }
     lock.unlock();

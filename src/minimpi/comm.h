@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -13,6 +12,7 @@
 #include "minimpi/context.h"
 #include "minimpi/icoll_gate.h"
 #include "minimpi/types.h"
+#include "minimpi/wake_word.h"
 
 namespace minimpi {
 
@@ -47,12 +47,18 @@ struct CommState {
     // increments its private epoch slot; ranks meeting at the same epoch are
     // executing the same collective call (MPI requires identical collective
     // call order on a communicator).
+    //
+    // A member parks on its slot's WakeWord; the finalizer publishes `done`
+    // (release) and rings it, so woken members read `max_clock` and the
+    // payload after the acquire and never re-take op_mu. The interrupt
+    // paths (Runtime::poison_from, on_rank_death, revoke_comm) ring every
+    // slot after setting their state.
     struct OpSlot {
-        int arrived = 0;
-        int left = 0;
-        bool done = false;
-        VTime max_clock = 0.0;
-        std::condition_variable cv;
+        int arrived = 0;             ///< guarded by op_mu
+        std::atomic<int> left{0};    ///< members past the slot
+        std::atomic<bool> done{false};
+        VTime max_clock = 0.0;       ///< final once `done` is published
+        WakeWord wake;
         std::shared_ptr<void> data;  ///< operation-specific payload
     };
     std::mutex op_mu;
@@ -238,37 +244,35 @@ std::shared_ptr<Data> rendezvous(CommState& st, RankCtx& ctx, int my_rank,
     slot->max_clock = std::max(slot->max_clock, ctx.vck().now());
     if (++slot->arrived == st.size()) {
         finalize(*data);
-        slot->done = true;
-        slot->cv.notify_all();
-    } else if (ctx.gate != nullptr) {
-        // Task context: poll-and-yield instead of blocking the OS thread,
-        // so the owner's Test() returns and its Wait() can drive the other
-        // outstanding requests meanwhile.
-        while (!slot->done && !job_poisoned(st) && !comm_interrupted(st)) {
-            lock.unlock();
-            ctx.gate->yield();
-            lock.lock();
-        }
-        if (!slot->done) {
-            lock.unlock();
-            throw_if_poisoned(st);
-            throw_comm_interrupt(st, ctx);
-        }
+        slot->done.store(true, std::memory_order_release);
+        lock.unlock();
+        slot->wake.ring();
     } else {
-        slot->cv.wait(lock, [&] {
-            return slot->done || job_poisoned(st) || comm_interrupted(st);
-        });
-        if (!slot->done) {
-            lock.unlock();
-            throw_if_poisoned(st);
-            throw_comm_interrupt(st, ctx);
+        lock.unlock();
+        // Completion wins: `done` is re-checked before every interrupt
+        // check. Task context (engine gate): poll-and-yield instead of
+        // blocking the OS thread, so the owner's Test() returns and its
+        // Wait() can drive the other outstanding requests meanwhile.
+        for (;;) {
+            const std::uint32_t seen = slot->wake.snapshot();
+            if (slot->done.load(std::memory_order_acquire)) break;
+            if (job_poisoned(st) || comm_interrupted(st)) {
+                throw_if_poisoned(st);
+                throw_comm_interrupt(st, ctx);
+            }
+            if (ctx.gate != nullptr) {
+                ctx.gate->yield();
+            } else {
+                slot->wake.wait(seen);
+            }
         }
     }
 
     ctx.vck().sync_to(slot->max_clock);
     ctx.vck().advance(sync_cost);
 
-    if (++slot->left == st.size()) {
+    if (slot->left.fetch_add(1, std::memory_order_acq_rel) + 1 == st.size()) {
+        std::lock_guard<std::mutex> erase_lock(st.op_mu);
         st.ops.erase(key);
     }
     return data;

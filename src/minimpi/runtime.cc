@@ -65,74 +65,77 @@ void Runtime::keep_alive(std::shared_ptr<void> resource) {
     resources_.push_back(std::move(resource));
 }
 
-void Runtime::poison_from(int world_rank) {
-    transport_->poison(world_rank);
-    // Snapshot the registry first: rendezvous callbacks take a comm's op_mu
-    // and then registry_mu_ (create_comm, keep_alive), so notifying under
-    // registry_mu_ would invert that order. The raw pointers stay valid —
-    // comms_ is only cleared between runs, after every rank thread joined.
-    std::vector<CommState*> comms;
+void Runtime::register_wake_words(std::shared_ptr<void> owner,
+                                  const std::vector<WakeWord*>& words) {
+    std::lock_guard<std::mutex> lock(registry_mu_);
+    resources_.push_back(std::move(owner));
+    wake_words_.insert(wake_words_.end(), words.begin(), words.end());
+}
+
+void Runtime::ring_waiters(const std::vector<CommState*>* comms) {
+    // Ring the registered words and snapshot the comm registry under
+    // registry_mu_, but ring the op slots outside it: rendezvous finalizers
+    // take a comm's op_mu and then registry_mu_ (create_comm, keep_alive),
+    // so taking op_mu under registry_mu_ would invert that order. The raw
+    // pointers stay valid — comms_ and the word owners are only released
+    // between runs, after every rank thread joined.
+    std::vector<CommState*> all;
     {
         std::lock_guard<std::mutex> lock(registry_mu_);
-        comms.reserve(comms_.size());
-        for (auto& comm : comms_) comms.push_back(comm.get());
-    }
-    for (CommState* comm : comms) {
-        std::lock_guard<std::mutex> op_lock(comm->op_mu);
-        for (auto& [epoch, slot] : comm->ops) {
-            slot->cv.notify_all();
+        for (WakeWord* w : wake_words_) w->ring();
+        if (comms == nullptr) {
+            all.reserve(comms_.size());
+            for (auto& comm : comms_) all.push_back(comm.get());
+            comms = &all;
         }
     }
+    for (CommState* comm : *comms) {
+        std::lock_guard<std::mutex> op_lock(comm->op_mu);
+        for (auto& [key, slot] : comm->ops) slot->wake.ring();
+    }
+}
+
+void Runtime::poison_from(int world_rank) {
+    transport_->poison(world_rank);
+    ring_waiters(nullptr);
 }
 
 void Runtime::on_rank_death(int world_rank, VTime at) {
     transport_->mark_dead(world_rank, at);
-    // Wake rendezvous waiters the same way poison_from does: collectives on
-    // a communicator containing the dead rank must observe the death and
-    // raise ProcessFailedError rather than wait forever for its arrival.
-    std::vector<CommState*> comms;
-    {
-        std::lock_guard<std::mutex> lock(registry_mu_);
-        comms.reserve(comms_.size());
-        for (auto& comm : comms_) comms.push_back(comm.get());
-    }
-    for (CommState* comm : comms) {
-        std::lock_guard<std::mutex> op_lock(comm->op_mu);
-        for (auto& [epoch, slot] : comm->ops) {
-            slot->cv.notify_all();
-        }
-    }
+    // Collectives on a communicator containing the dead rank, and flag
+    // waits on a flag it owns, must observe the death and raise
+    // ProcessFailedError rather than wait forever for its arrival.
+    ring_waiters(nullptr);
 }
 
 void Runtime::revoke_comm(CommState& st) {
     if (st.revoked.exchange(true, std::memory_order_acq_rel)) return;
-    transport_->revoke_ctx(st.ctx_p2p);
-    transport_->revoke_ctx(st.ctx_coll);
-    {
-        std::lock_guard<std::mutex> op_lock(st.op_mu);
-        for (auto& [epoch, slot] : st.ops) {
-            slot->cv.notify_all();
-        }
-    }
     // Cascade to derived comms (see CommState::parent): a survivor blocked
     // in an internal hierarchy leg whose direct peers are all alive can only
-    // be interrupted through its sub-communicator. Snapshot outside op
-    // locks — same ordering discipline as poison_from — then recurse; the
-    // exchange above makes re-entry through overlapping subtrees a no-op.
-    std::vector<CommState*> derived;
+    // be interrupted through its sub-communicator. The scan shares
+    // registry_mu_ with create_comm's inherited-revocation check, so a comm
+    // registered concurrently is either found here or born revoked.
+    std::vector<CommState*> revoked{&st};
     {
         std::lock_guard<std::mutex> lock(registry_mu_);
         for (const auto& comm : comms_) {
             for (const CommState* a = comm->parent; a != nullptr;
                  a = a->parent) {
                 if (a == &st) {
-                    derived.push_back(comm.get());
+                    if (!comm->revoked.exchange(true,
+                                                std::memory_order_acq_rel)) {
+                        revoked.push_back(comm.get());
+                    }
                     break;
                 }
             }
         }
     }
-    for (CommState* child : derived) revoke_comm(*child);
+    for (CommState* comm : revoked) {
+        transport_->revoke_ctx(comm->ctx_p2p);
+        transport_->revoke_ctx(comm->ctx_coll);
+    }
+    ring_waiters(&revoked);
 }
 
 VTime Runtime::one_off_sync_cost(int nranks) const {
@@ -191,6 +194,7 @@ std::vector<VTime> Runtime::run(const std::function<void(Comm&)>& rank_main) {
         std::lock_guard<std::mutex> lock(registry_mu_);
         comms_.clear();
         resources_.clear();
+        wake_words_.clear();
         shm_alloc_seq_.assign(static_cast<std::size_t>(cluster_.num_nodes()),
                               0);
     }

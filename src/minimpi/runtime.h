@@ -12,6 +12,7 @@
 #include "minimpi/netmodel.h"
 #include "minimpi/transport.h"
 #include "minimpi/types.h"
+#include "minimpi/wake_word.h"
 #include "trace/span.h"
 
 namespace minimpi {
@@ -98,6 +99,15 @@ public:
     /// so it is released when the current run's state is torn down.
     void keep_alive(std::shared_ptr<void> resource);
 
+    /// Register wake words that host-blocking waits outside the op slots
+    /// park on (NodeSync's flag cells): every interrupt — poison_from,
+    /// on_rank_death, revoke_comm — rings them after setting its state, so
+    /// a parked waiter re-checks that state. @p owner holds the words and is
+    /// kept alive like keep_alive's resources, so a ring never touches
+    /// freed memory.
+    void register_wake_words(std::shared_ptr<void> owner,
+                             const std::vector<WakeWord*>& words);
+
     Transport& transport() { return *transport_; }
 
     /// Deterministic fault/jitter plan applied to every subsequent run()
@@ -119,19 +129,19 @@ public:
     std::uint64_t next_shm_alloc_idx(int node);
 
     /// Abort the job on behalf of @p world_rank: poisons the transport and
-    /// wakes every rank blocked in a collective rendezvous.
+    /// wakes every rank blocked in a collective rendezvous or a flag wait.
     void poison_from(int world_rank);
 
     /// Record the death of @p world_rank (FaultPlan kill) at virtual time
     /// @p at: marks it dead in the transport and wakes every rank blocked in
-    /// a collective rendezvous so waits that depend on the dead rank raise
-    /// ProcessFailedError. Unlike poison_from, the job keeps running — the
+    /// a collective rendezvous or a flag wait so waits that depend on the
+    /// dead rank raise ProcessFailedError. Unlike poison_from, the job keeps running — the
     /// survivors are expected to revoke + agree_shrink and continue.
     void on_rank_death(int world_rank, VTime at);
 
-    /// Revoke both matching contexts of @p st in the transport, wake the
-    /// comm's rendezvous waiters, and cascade to every registered comm
-    /// derived from @p st (backs Comm::revoke).
+    /// Revoke @p st and every registered comm derived from it: both
+    /// matching contexts of each in the transport, then wake their
+    /// rendezvous waiters and every flag waiter (backs Comm::revoke).
     void revoke_comm(CommState& st);
 
     /// Modelled cost of a one-off collective coordination over @p nranks
@@ -139,6 +149,11 @@ public:
     VTime one_off_sync_cost(int nranks) const;
 
 private:
+    /// Ring the op-slot words of @p comms (every registered comm when
+    /// null) and every registered wake word: the one wake-up path of the
+    /// interrupt entry points, called after they set their state.
+    void ring_waiters(const std::vector<CommState*>* comms);
+
     ClusterSpec cluster_;
     ModelParams model_;
     PayloadMode payload_;
@@ -152,6 +167,7 @@ private:
     std::mutex registry_mu_;
     std::vector<std::unique_ptr<CommState>> comms_;
     std::vector<std::shared_ptr<void>> resources_;
+    std::vector<WakeWord*> wake_words_;  ///< owners live in resources_
     std::vector<CommStats> last_stats_;
     std::vector<hympi::RobustStats> last_robust_stats_;
     std::vector<hytrace::RankTrace> last_span_traces_;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <sstream>
 #include <string>
 
 #include "conformance/conformance.h"
@@ -164,8 +165,22 @@ TEST(Conformance, ShrinkKeepsPassingSpecUntouched) {
     spec.procs_per_node = {2, 2};
     spec.op = CollOp::Bcast;
     spec.block_bytes = 64;
-    const CaseSpec out = shrink(spec, 10);
+    std::ostringstream log;
+    const CaseSpec out = shrink(spec, 10, &log);
     EXPECT_EQ(out.describe(), spec.describe());
+    // Each probe is named before it runs: "shrink probe <k>: <spec>", k
+    // counting from 0, at most max_runs of them.
+    std::istringstream lines(log.str());
+    std::string line;
+    int k = 0;
+    while (std::getline(lines, line)) {
+        const std::string head = "shrink probe " + std::to_string(k) + ": ";
+        EXPECT_EQ(line.rfind(head, 0), 0u) << line;
+        EXPECT_NE(line.find("op=bcast"), std::string::npos) << line;
+        ++k;
+    }
+    EXPECT_GE(k, 1);
+    EXPECT_LE(k, 10);
 }
 
 TEST(Conformance, PaperShapeScaledDown) {

@@ -1,12 +1,27 @@
 // Failure injection: errors raised in one rank must not deadlock the job —
-// the poison machinery unblocks peers stuck in receives, collectives or
-// rendezvous, and Runtime::run rethrows the ORIGINAL error.
+// the poison machinery unblocks peers stuck in receives, collectives,
+// rendezvous or on-node flag waits, and Runtime::run rethrows the ORIGINAL
+// error.
 
 #include <gtest/gtest.h>
+
+#include <chrono>
+#include <thread>
 
 #include "hybrid/hympi.h"
 
 using namespace minimpi;
+
+namespace {
+
+/// Wall-clock pause before a rank throws, so its peers are most likely
+/// parked in their wait when the poison rings them. The outcome does not
+/// depend on it: a peer that has not parked yet sees the poison on entry.
+void let_peers_park() {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+}
+
+}  // namespace
 
 TEST(Failure, ErrorWhilePeerBlockedInRecv) {
     Runtime rt(ClusterSpec::regular(1, 2), ModelParams::test());
@@ -123,4 +138,77 @@ TEST(Failure, NullCommOperationsThrow) {
             EXPECT_THROW(null_comm.split(0), CommError);
         }
     });
+}
+
+// ---------------------------------------------------------------------------
+// Parked on-node waits: each flag and rendezvous waiter sleeps on its own
+// wake word, so only the poison's ring can release it when a peer throws.
+// ---------------------------------------------------------------------------
+
+TEST(Failure, ErrorWhileLeaderParkedInFlagsReadyWait) {
+    Runtime rt(ClusterSpec::regular(1, 4), ModelParams::cray());
+    EXPECT_THROW(rt.run([](Comm& world) {
+        hympi::HierComm hc(world);
+        hympi::NodeSync sync(hc);
+        if (world.rank() == 3) {
+            let_peers_park();
+            throw ArgumentError("ready flag never published");
+        }
+        // The leader collects every rank's ready flag and parks on rank
+        // 3's; the other children park on the leader's release flag.
+        sync.ready_phase(hympi::SyncPolicy::Flags);
+        sync.release_phase(hympi::SyncPolicy::Flags);
+    }),
+                 ArgumentError);
+}
+
+TEST(Failure, ErrorWhileChildrenParkedInFlagsReleaseWait) {
+    Runtime rt(ClusterSpec::regular(1, 4), ModelParams::cray());
+    EXPECT_THROW(rt.run([](Comm& world) {
+        hympi::HierComm hc(world);
+        hympi::NodeSync sync(hc);
+        sync.ready_phase(hympi::SyncPolicy::Flags);
+        if (world.rank() == 0) {
+            let_peers_park();
+            throw CommError("release flag never published");
+        }
+        sync.release_phase(hympi::SyncPolicy::Flags);
+    }),
+                 CommError);
+}
+
+TEST(Failure, ErrorWhilePeersParkedInPipelinedChunkWait) {
+    // 2 nodes x 4 ranks on 2 sockets: a forced Pipelined bcast round has
+    // node 1's ranks consume chunk flags that its primary leader publishes
+    // as the chunks land from the bridge. That leader throws instead, so
+    // its home-socket peers park on the node chunk flag and the remote
+    // socket's peers on the socket leader's chunk flag.
+    Runtime rt(ClusterSpec::regular(2, 4, Placement::Smp, 2),
+               ModelParams::cray());
+    EXPECT_THROW(rt.run([](Comm& world) {
+        hympi::HierComm hc(world);
+        hympi::BcastChannel ch(hc, 8192);
+        ch.set_socket_staging(hympi::SocketStaging::Pipelined);
+        ch.set_chunk_bytes(1024);
+        if (hc.my_node() == 1 && hc.is_primary_leader()) {
+            let_peers_park();
+            throw WinError("chunk flags never published");
+        }
+        ch.run(0, hympi::SyncPolicy::Flags);
+    }),
+                 WinError);
+}
+
+TEST(Failure, ErrorWhilePeersParkedInShmBarrierRendezvous) {
+    // A single-node barrier under an SMP-aware profile is the shm counter
+    // barrier: a clock-max rendezvous on the comm's op slot.
+    Runtime rt(ClusterSpec::regular(1, 4), ModelParams::cray());
+    EXPECT_THROW(rt.run([](Comm& world) {
+        if (world.rank() == 3) {
+            let_peers_park();
+            throw TruncationError(64, 8);
+        }
+        barrier(world);
+    }),
+                 TruncationError);
 }

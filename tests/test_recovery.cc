@@ -11,9 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -278,9 +280,69 @@ TEST(Recovery, DeadRankTrafficTombstones) {
     EXPECT_EQ(rt.last_robust_stats()[0].failures_detected, 1u);
 }
 
+TEST(Recovery, DeadFlagOwnerRaisesProcessFailedError) {
+    // The leader dies without publishing its release flag while the other
+    // on-node ranks wait on it: its death must wake them with the typed
+    // error and the deterministic detection latency.
+    Runtime rt(ClusterSpec::regular(1, 3), ModelParams::cray());
+    rt.set_robust_config(pinned_cfg());
+    FaultPlan fp;
+    fp.kill(0, 1000.0);
+    rt.set_fault_plan(fp);
+    std::vector<int> caught(3, 0);
+    rt.run([&](Comm& world) {
+        HierComm hc(world);
+        NodeSync sync(hc);
+        sync.ready_phase(SyncPolicy::Flags);
+        if (world.rank() == 0) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            die_here(world);
+        }
+        try {
+            sync.release_phase(SyncPolicy::Flags);
+            FAIL() << "release flag of a dead leader observed";
+        } catch (const ProcessFailedError& e) {
+            caught[static_cast<std::size_t>(world.rank())] = 1;
+            EXPECT_EQ(e.world_rank(), 0);
+            EXPECT_GE(e.death_vtime(), 1000.0);
+            EXPECT_DOUBLE_EQ(world.ctx().clock.now(),
+                             e.death_vtime() + pinned_cfg().watchdog_us);
+        }
+    });
+    EXPECT_EQ(caught[1], 1);
+    EXPECT_EQ(caught[2], 1);
+}
+
 // ---------------------------------------------------------------------------
 // Revocation: pending + future ops, cascade to derived comms
 // ---------------------------------------------------------------------------
+
+TEST(Recovery, RevokeInterruptsParkedFlagWaiters) {
+    // The leader collects the ready flags, then revokes the world instead
+    // of publishing its release flag: the children waiting on it must
+    // leave with CommRevokedError.
+    Runtime rt(ClusterSpec::regular(1, 3), ModelParams::cray());
+    rt.set_robust_config(pinned_cfg());
+    std::vector<int> revoked(3, 0);
+    rt.run([&](Comm& world) {
+        HierComm hc(world);
+        NodeSync sync(hc);
+        sync.ready_phase(SyncPolicy::Flags);
+        if (world.rank() == 0) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            world.revoke();
+            return;
+        }
+        try {
+            sync.release_phase(SyncPolicy::Flags);
+            FAIL() << "release flag observed on a revoked comm";
+        } catch (const CommRevokedError&) {
+            revoked[static_cast<std::size_t>(world.rank())] = 1;
+        }
+    });
+    EXPECT_EQ(revoked[1], 1);
+    EXPECT_EQ(revoked[2], 1);
+}
 
 TEST(Recovery, RevokeInterruptsPendingAndFutureOps) {
     Runtime rt(ClusterSpec::regular(1, 3), ModelParams::cray());

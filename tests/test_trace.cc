@@ -5,6 +5,8 @@
 #include <cstring>
 #include <string>
 
+#include <unistd.h>
+
 #include "hybrid/hympi.h"
 #include "hybrid/recover.h"
 #include "trace/json.h"
@@ -14,6 +16,13 @@
 using namespace minimpi;
 
 namespace {
+
+/// Scratch file for a trace export, named per process so concurrent runs
+/// of this suite (say, from two build trees) never share one.
+std::string scratch_json(const char* stem) {
+    return testing::TempDir() + stem + "_" + std::to_string(::getpid()) +
+           ".json";
+}
 
 /// A span built by hand, for the renderer and summary tests.
 hytrace::Span span(hytrace::Phase phase, const char* name, VTime t0, VTime t1,
@@ -334,8 +343,7 @@ TEST(Spans, IdenticalRunsProduceIdenticalSpansAndCounters) {
 }
 
 TEST(Spans, ChromeTraceJsonIsWellFormed) {
-    const std::string path =
-        testing::TempDir() + "hympi_span_chrome_test.json";
+    const std::string path = scratch_json("hympi_span_chrome_test");
     hytrace::TraceSink::instance().configure(path, false);
     {
         Runtime rt(ClusterSpec::regular(2, 3), ModelParams::cray(),
@@ -416,8 +424,7 @@ void expect_counters_derived(const Runtime& rt, const std::string& path) {
 template <class Setup, class Main>
 hytrace::Counters run_and_check_counters(const ClusterSpec& cluster,
                                          Setup&& setup, Main&& rank_main) {
-    const std::string path =
-        testing::TempDir() + "hympi_span_counters_test.json";
+    const std::string path = scratch_json("hympi_span_counters_test");
     hytrace::TraceSink::instance().configure(path, false);
     RunOptions opts;
     opts.spans = true;
@@ -514,7 +521,7 @@ TEST(Spans, CompiledOutBuildRecordsNothing) {
     // -DHYMPI_TRACING=OFF: neither RunOptions nor the HYMPI_TRACE sink
     // records a span, and every counter reads zero — while the stats the
     // derived counters restate keep counting.
-    const std::string path = testing::TempDir() + "hympi_span_off_test.json";
+    const std::string path = scratch_json("hympi_span_off_test");
     std::remove(path.c_str());
     hytrace::TraceSink::instance().configure(path, true);
     RunOptions opts;
