@@ -36,7 +36,7 @@ std::function<std::function<void()>(Comm&)> bcast_setup(
 }
 
 /// Chunk count the engine will use for @p bytes under a forced chunk size
-/// (mirrors SocketStager::plan's [64, bytes] clamp); NaN = not chunked.
+/// (mirrors plan_round's [64, bytes] clamp); NaN = not chunked.
 double forced_chunks(std::size_t bytes, std::size_t chunk) {
     if (bytes == 0) return std::nan("");
     const std::size_t c = std::min(std::max<std::size_t>(chunk, 64), bytes);
@@ -44,7 +44,7 @@ double forced_chunks(std::size_t bytes, std::size_t chunk) {
 }
 
 /// Chunk count of the Auto column: pipelined only on a tuned kCsPipelined
-/// row (the same lookup SocketStager::plan performs).
+/// row (the lookup plan_round performs; kPpn is every node's population).
 double auto_chunks(const char* profile, std::size_t bytes) {
     const tuning::DecisionTable* table = tuning::find_table(profile);
     if (table == nullptr || bytes == 0) return std::nan("");

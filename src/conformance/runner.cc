@@ -78,9 +78,21 @@ void fill_pattern(std::byte* dst, std::size_t n, std::uint64_t seed,
 
 /// Deterministic reduction inputs. Magnitudes stay small enough that Sum
 /// over any supported rank count cannot overflow (overflow would be UB for
-/// the signed types and would void the byte-identity claim).
+/// the signed types and would void the byte-identity claim). Only Int32,
+/// Int64 and UInt64 are generated; any other datatype (a hand-built spec
+/// that kept the Byte default) is rejected before a byte is written.
 void fill_red(std::byte* dst, std::size_t count, Datatype dt,
               std::uint64_t seed, std::uint64_t salt) {
+    if (dt != Datatype::Int32 && dt != Datatype::Int64 &&
+        dt != Datatype::UInt64) {
+        static const char* const kNames[] = {"Byte",   "Char",  "Int32",
+                                             "Int64",  "UInt64", "Float",
+                                             "Double"};
+        throw minimpi::ArgumentError(
+            std::string("reduction cases take Int32, Int64 or UInt64 "
+                        "inputs, not ") +
+            kNames[static_cast<int>(dt)]);
+    }
     for (std::size_t i = 0; i < count; ++i) {
         const std::uint64_t h = mix64(seed ^ (salt * 0xA24BAED4963EE407ULL) ^ i);
         switch (dt) {
@@ -96,7 +108,7 @@ void fill_red(std::byte* dst, std::size_t count, Datatype dt,
                 std::memcpy(dst + i * 8, &v, 8);
                 break;
             }
-            default: {  // UInt64
+            default: {  // UInt64 (the only other accepted type)
                 const std::uint64_t v = h & 0xFFFFF;
                 std::memcpy(dst + i * 8, &v, 8);
                 break;
@@ -125,8 +137,8 @@ std::vector<std::byte> expected_reduction(const CaseSpec& spec,
                                           std::size_t count, int nranks) {
     const std::size_t ds = datatype_size(spec.dt);
     std::vector<std::byte> acc(count * ds), in(count * ds);
-    if (count == 0) return acc;
     fill_red(acc.data(), count, spec.dt, spec.seed, salt_of(0, 0));
+    if (count == 0) return acc;
     for (int r = 1; r < nranks; ++r) {
         fill_red(in.data(), count, spec.dt, spec.seed, salt_of(0, r));
         switch (spec.dt) {
@@ -176,6 +188,34 @@ void expect_eq(RankLog& log, const std::byte* got, const std::byte* want,
     }
 }
 
+/// Plan-agreement oracle: every leader must make the same sequence of
+/// bridge calls, so every active rank has to resolve the same RoundPlan.
+/// The plans are exchanged over the flat communicator before the first
+/// hybrid round; on a mismatch every rank sees it, fails the case naming
+/// both plans and skips the rounds — a divergence surfaces as a failing
+/// case instead of a hang or a truncation. Skipped when the spec corrupts,
+/// drops or duplicates all traffic (the checker's self-test): there the
+/// exchange itself is faulted and ranks could reach different verdicts.
+bool plans_agree(const CaseSpec& spec, Comm& active,
+                 const hympi::RoundPlan& mine, RankLog& log) {
+    if (spec.faults.payload_active() &&
+        spec.faults.scope == minimpi::FaultScope::AllTraffic) {
+        return true;
+    }
+    std::vector<hympi::RoundPlan> all(static_cast<std::size_t>(active.size()));
+    minimpi::allgather(active, &mine, sizeof mine, all.data(),
+                       Datatype::Byte);
+    for (std::size_t r = 1; r < all.size(); ++r) {
+        if (!(all[r] == all[0])) {
+            fail(log, "plan disagreement: rank 0 plans " + all[0].describe() +
+                          ", rank " + std::to_string(r) + " plans " +
+                          all[r].describe());
+            return false;
+        }
+    }
+    return true;
+}
+
 // ---- per-op differential bodies ----------------------------------------
 
 void diff_allgather(const CaseSpec& spec, Comm& active, HierComm& hc,
@@ -186,6 +226,7 @@ void diff_allgather(const CaseSpec& spec, Comm& active, HierComm& hc,
     AllgatherChannel ch(hc, bb);
     ch.set_socket_staging(spec.staging);
     ch.set_chunk_bytes(spec.chunk_bytes);
+    if (!plans_agree(spec, active, ch.round_plan(spec.bridge), log)) return;
     std::vector<std::byte> mine(bb);
     std::vector<std::byte> ref(bb * static_cast<std::size_t>(n));
     PersistentColl pc;
@@ -235,6 +276,7 @@ void diff_allgatherv(const CaseSpec& spec, Comm& active, HierComm& hc,
     AllgatherChannel ch(hc, counts);
     ch.set_socket_staging(spec.staging);
     ch.set_chunk_bytes(spec.chunk_bytes);
+    if (!plans_agree(spec, active, ch.round_plan(spec.bridge), log)) return;
     const std::size_t mb = counts[static_cast<std::size_t>(me)];
     std::vector<std::byte> mine(mb);
     std::vector<std::byte> ref(total);
@@ -281,6 +323,7 @@ void diff_bcast(const CaseSpec& spec, Comm& active, HierComm& hc,
     BcastChannel ch(hc, bb);
     ch.set_socket_staging(spec.staging);
     ch.set_chunk_bytes(spec.chunk_bytes);
+    if (!plans_agree(spec, active, ch.round_plan(), log)) return;
     std::vector<std::byte> flat(bb);
     for (int it = 0; it < spec.iterations; ++it) {
         const int root = (spec.derive_root(n) + it) % n;  // rotate roots
@@ -319,6 +362,7 @@ void diff_allreduce(const CaseSpec& spec, Comm& active, HierComm& hc,
     AllreduceChannel ch(hc, count, spec.dt);
     ch.set_socket_staging(spec.staging);
     ch.set_chunk_bytes(spec.chunk_bytes);
+    if (!plans_agree(spec, active, ch.round_plan(), log)) return;
     std::vector<std::byte> mine(count * ds);
     std::vector<std::byte> ref(count * ds);
     PersistentColl pc;

@@ -5,26 +5,8 @@
 
 #include "hybrid/hy_trace.h"
 #include "minimpi/coll_internal.h"
-#include "tuning/decision.h"
 
 namespace hympi {
-
-namespace {
-
-const char* bridge_algo_name(BridgeAlgo a) {
-    switch (a) {
-        case BridgeAlgo::Auto: return "auto";
-        case BridgeAlgo::Allgatherv: return "vendor_allgatherv";
-        case BridgeAlgo::Bcast: return "bcast";
-        case BridgeAlgo::Pipelined: return "pipelined_ring";
-        case BridgeAlgo::BruckV: return "bruck_v";
-        case BridgeAlgo::NeighborExchange: return "neighbor_exchange";
-        case BridgeAlgo::LocBruck: return "loc_bruck";
-    }
-    return "?";
-}
-
-}  // namespace
 
 AllgatherChannel::AllgatherChannel(const HierComm& hc, std::size_t block_bytes)
     : hc_(&hc), sync_(hc), stager_(hc) {
@@ -74,40 +56,35 @@ void AllgatherChannel::init_layout(
         rank_order_layout_ = minimpi::Layout::indexed(std::move(extents));
     }
 
-    // Largest whole-node block — every rank derives it from the (uniform)
-    // slot-major layout, so it is a safe rank-uniform tuning key.
+    // Whole-node blocks and the largest leader slice, identical on every
+    // rank (the plan's table keys), plus the slices of my own bridge. Bridge
+    // rank order is ascending comm rank of each node's leader l (the split
+    // key), which matches node-major order on bridge 0 — node-major order IS
+    // ascending lowest comm rank — but for l >= 1 a round-robin placement or
+    // a gapped sub-communicator can permute it: the second leader of an
+    // early node may outrank a later node's. Sort the per-node slices by
+    // their leader's comm rank so bridge_{counts,displs}_[i] really
+    // describes bridge rank i on every bridge, not just the primary one.
+    const int my_l = hc_->num_nodes() > 1 ? hc_->leader_index() : -1;
+    std::vector<std::pair<int, std::pair<std::size_t, std::size_t>>> by_rank;
     for (int n = 0; n < hc_->num_nodes(); ++n) {
-        const auto s0 = static_cast<std::size_t>(hc_->node_offset(n));
-        const auto s1 = static_cast<std::size_t>(
-            n + 1 < hc_->num_nodes() ? hc_->node_offset(n + 1) : p);
-        max_node_block_ =
-            std::max(max_node_block_, slot_offset_[s1] - slot_offset_[s0]);
-    }
-
-    // One-off bridge parameters for my leader role. Bridge rank order is
-    // ascending comm rank of each node's leader l (the split key), which
-    // matches node-major order on bridge 0 — node-major order IS ascending
-    // lowest comm rank — but for l >= 1 a round-robin placement or a gapped
-    // sub-communicator can permute it: the second leader of an early node
-    // may outrank a later node's. Sort the per-node slices by their
-    // leader's comm rank so bridge_{counts,displs}_[i] really describes
-    // bridge rank i on every bridge, not just the primary one.
-    if (hc_->is_leader() && hc_->num_nodes() > 1) {
-        const int l = hc_->leader_index();
-        std::vector<std::pair<int, std::pair<std::size_t, std::size_t>>> by_rank;
-        for (int n = 0; n < hc_->num_nodes(); ++n) {
+        const auto off = static_cast<std::size_t>(hc_->node_offset(n));
+        auto at = [&](int i) {
+            return slot_offset_[off + static_cast<std::size_t>(i)];
+        };
+        node_displs_.push_back(at(0));
+        node_counts_.push_back(at(hc_->node_size(n)) - at(0));
+        for (int l = 0; l < hc_->leaders_per_node(); ++l) {
             const auto [first, last] = hc_->leader_slice(n, l);
-            if (first == last) continue;  // node has no leader l
-            const int s0 = hc_->node_offset(n) + first;
-            const int s1 = hc_->node_offset(n) + last;
-            const int leader = hc_->rank_at(hc_->node_offset(n) + l);
-            by_rank.emplace_back(
-                leader,
-                std::pair<std::size_t, std::size_t>{
-                    slot_offset_[static_cast<std::size_t>(s0)],
-                    slot_offset_[static_cast<std::size_t>(s1)] -
-                        slot_offset_[static_cast<std::size_t>(s0)]});
+            const std::size_t count = at(last) - at(first);
+            max_bridge_count_ = std::max(max_bridge_count_, count);
+            if (l == my_l) {
+                by_rank.push_back({hc_->rank_at(hc_->node_offset(n) + l),
+                                   {at(first), count}});
+            }
         }
+    }
+    if (my_l >= 0) {
         std::sort(by_rank.begin(), by_rank.end());
         for (const auto& [leader, slice] : by_rank) {
             bridge_displs_.push_back(slice.first);
@@ -116,13 +93,6 @@ void AllgatherChannel::init_layout(
         if (static_cast<int>(bridge_counts_.size()) != hc_->bridge().size()) {
             throw minimpi::CommError(
                 "bridge layout disagrees with bridge communicator size");
-        }
-        for (std::size_t i = 0; i < bridge_counts_.size(); ++i) {
-            max_bridge_count_ = std::max(max_bridge_count_, bridge_counts_[i]);
-            if (i > 0 && bridge_displs_[i] !=
-                             bridge_displs_[i - 1] + bridge_counts_[i - 1]) {
-                bridge_contiguous_ = false;
-            }
         }
     }
 
@@ -151,89 +121,28 @@ void AllgatherChannel::repack_rank_order(void* dst) const {
     rank_order_layout_.pack(ctx, data(), dst);
 }
 
-BridgeAlgo AllgatherChannel::tuned_bridge_algo(std::size_t& seg) const {
-    const tuning::DecisionTable* table = hc_->world().ctx().tuned;
-    if (table == nullptr) return BridgeAlgo::Allgatherv;  // the paper's default
-    // Rank-uniform LocBruck consultation FIRST (multi-leader channels only):
-    // keyed by (node count, largest WHOLE node block) — identical on every
-    // leader, so either all of a node's leaders enter the combined exchange
-    // or none does; a per-leader key here could let the primary's whole-
-    // block writes overlap a divergently-resolved peer's slice writes. It
-    // must also precede the 0-byte clamp below: max_bridge_count_ is PER
-    // LEADER, and a leader whose own slices happen to be empty (e.g. an
-    // allgatherv where only another leader's slices carry data) still has
-    // to resolve kLbCombined together with its siblings — the primary's
-    // bridge ships whole node blocks on everyone's behalf, and non-primary
-    // leaders return without exchanging. The max_node_block_ > 0 guard
-    // keeps the truly-empty exchange (total payload 0, rank-uniform) on
-    // the default path. With one leader per node LocBruck degenerates to
-    // BruckV, which the per-leader BridgeExchange row already covers.
-    if (hc_->leaders_per_node() > 1 && max_node_block_ > 0) {
-        const auto lc =
-            table->lookup(tuning::Op::LocBruck, tuning::Shape::Net,
-                          hc_->num_nodes(), max_node_block_);
-        if (lc.has_value() && lc->algo == tuning::algo::kLbCombined) {
-            return BridgeAlgo::LocBruck;
-        }
-    }
-    // A 0-byte exchange has no geometric position on the size axis: log-
-    // rounding would land on the smallest grid row, whose winner (possibly
-    // Pipelined) is tuned for data that is not there. Nothing moves over
-    // THIS bridge (max_bridge_count_ is the max over the whole bridge's
-    // counts, so the clamp is uniform within the bridge comm), so take the
-    // paper's default (mirrors SocketStager::resolve's 0-byte clamp).
-    if (max_bridge_count_ == 0) return BridgeAlgo::Allgatherv;
-    const auto c =
-        table->lookup(tuning::Op::BridgeExchange, tuning::Shape::Net,
-                      hc_->bridge().size(), max_bridge_count_);
-    if (c.has_value()) {
-        switch (c->algo) {
-            case tuning::algo::kBrPipelined:
-                if (seg == 0) seg = c->segment_bytes;
-                seg = detail::clamp_segment(seg, kPipelineSegmentBytes,
-                                            (max_bridge_count_ + 63) / 64,
-                                            max_bridge_count_);
-                return BridgeAlgo::Pipelined;
-            case tuning::algo::kBrBruckV:
-                return BridgeAlgo::BruckV;
-            case tuning::algo::kBrNeighborExchange:
-                return BridgeAlgo::NeighborExchange;
-            case tuning::algo::kBrVendorAllgatherv:
-            default:
-                return BridgeAlgo::Allgatherv;
-        }
-    }
-    return BridgeAlgo::Allgatherv;  // the paper's default
+RoundPlan AllgatherChannel::round_plan(BridgeAlgo algo) const {
+    RoundRequest rq = request(total_bytes_);
+    rq.exchange = algo;
+    rq.segment_bytes = pipeline_segment_;
+    rq.max_bridge_count = max_bridge_count_;
+    rq.max_node_block = std::ranges::max(node_counts_);
+    return plan_round(PlanInputs(*hc_), rq);
 }
 
-void AllgatherChannel::bridge_exchange(BridgeAlgo algo) {
+void AllgatherChannel::bridge_exchange(const RoundPlan& plan) {
     const Comm& bridge = hc_->bridge();
     const int bp = bridge.size();
     const int br = bridge.rank();
     if (bp <= 1) return;
     minimpi::RankCtx& ctx = bridge.ctx();
-
-    // An explicit set_pipeline_segment() wins over the tuned/heuristic
-    // resolution below.
-    std::size_t seg = pipeline_segment_;
-    if (algo == BridgeAlgo::Auto) algo = tuned_bridge_algo(seg);
-    // Neighbor exchange pairs up adjacent blocks: it needs an even bridge
-    // and abutting slices (one leader per node). The fallback is the
-    // status-quo vendor allgatherv — a tuned table row from a nearby even
-    // size may name NeighborExchange at an odd size, and any other
-    // substitute could be slower than what the legacy path would have run.
-    if (algo == BridgeAlgo::NeighborExchange &&
-        (bp % 2 != 0 || !bridge_contiguous_)) {
-        algo = BridgeAlgo::Allgatherv;
-    }
-
     TraceSpan span(ctx, hytrace::Phase::Bridge, "bridge_exchange");
-    span.set_algo(bridge_algo_name(algo));
+    span.set_algo(bridge_algo_name(plan.bridge));
     span.set_comm(bp, br);
     BridgeBytesScope bytes_scope(ctx, span);
 
-    switch (algo) {
-        case BridgeAlgo::Auto:  // resolved above; unreachable
+    switch (plan.bridge) {
+        case BridgeAlgo::Auto:  // resolved by the plan; unreachable
             return;
         case BridgeAlgo::Allgatherv: {
             // Fig. 4 line 26: MPI_Allgatherv(s_buf, ..., r_buf, bridgeComm);
@@ -259,11 +168,7 @@ void AllgatherChannel::bridge_exchange(BridgeAlgo algo) {
             // Segmented ring (Traeff et al. '08): forward the previously
             // received block segment by segment while the next block
             // arrives, hiding the per-hop start-up cost of large blocks.
-            // Tuned/explicit segment sizes still honor the bounded
-            // pipeline depth, as in bcast_pipelined_chain.
-            seg = detail::clamp_segment(seg, kPipelineSegmentBytes,
-                                        (max_bridge_count_ + 63) / 64,
-                                        max_bridge_count_);
+            const std::size_t seg = plan.segment_bytes;
             auto nsegs = [&](int blk) {
                 return (bridge_counts_[static_cast<std::size_t>(blk)] + seg - 1) /
                        seg;
@@ -329,20 +234,8 @@ void AllgatherChannel::bridge_exchange(BridgeAlgo algo) {
             // the release phase makes every rank wait for the primary's
             // signal, which happens-after its whole-block writes.
             if (!hc_->is_primary_leader()) return;
-            const int nn = hc_->num_nodes();
-            const int p = hc_->world().size();
-            std::vector<std::size_t> displs(static_cast<std::size_t>(nn));
-            std::vector<std::size_t> counts(static_cast<std::size_t>(nn));
-            for (int n = 0; n < nn; ++n) {
-                const auto s0 = static_cast<std::size_t>(hc_->node_offset(n));
-                const auto s1 = static_cast<std::size_t>(
-                    n + 1 < nn ? hc_->node_offset(n + 1) : p);
-                displs[static_cast<std::size_t>(n)] = slot_offset_[s0];
-                counts[static_cast<std::size_t>(n)] =
-                    slot_offset_[s1] - slot_offset_[s0];
-            }
-            detail::node_block_bruck(bridge, buf_.data(), displs, counts,
-                                     0x50);
+            detail::node_block_bruck(bridge, buf_.data(), node_displs_,
+                                     node_counts_, 0x50);
             return;
         }
         case BridgeAlgo::NeighborExchange: {
@@ -443,25 +336,13 @@ bool AllgatherChannel::robust_bridge_exchange() {
     return ok;
 }
 
-bool AllgatherChannel::run_pipelined(const PipelinePlan& plan,
+bool AllgatherChannel::run_pipelined(const RoundPlan& plan,
                                      const RobustConfig* cfg) {
+    // With one leader per node (required by the plan) the node block IS
+    // the leader's bridge slice.
     const std::size_t chunk = plan.chunk_bytes;
-    const int nn = hc_->num_nodes();
-    const int p = hc_->world().size();
-    // Per-node block lengths from the slot-major layout — available on
-    // every rank (with one leader per node, required by plan(), the node
-    // block IS the leader's bridge slice).
-    std::vector<std::size_t> node_len(static_cast<std::size_t>(nn));
-    std::size_t max_len = 0;
-    for (int n = 0; n < nn; ++n) {
-        const auto s0 = static_cast<std::size_t>(hc_->node_offset(n));
-        const auto s1 = static_cast<std::size_t>(
-            n + 1 < nn ? hc_->node_offset(n + 1) : p);
-        node_len[static_cast<std::size_t>(n)] =
-            slot_offset_[s1] - slot_offset_[s0];
-        max_len = std::max(max_len, node_len[static_cast<std::size_t>(n)]);
-    }
-    const std::size_t nchunks = (max_len + chunk - 1) / chunk;
+    const std::size_t nchunks =
+        (std::ranges::max(node_counts_) + chunk - 1) / chunk;
     // Pass c ships slice [c*chunk, (c+1)*chunk) of EVERY node block at
     // once, so the bridge stays balanced (full-duplex) and each pass lands
     // as one node-level release flag. Pass lengths taper as short blocks
@@ -469,13 +350,13 @@ bool AllgatherChannel::run_pipelined(const PipelinePlan& plan,
     std::vector<std::size_t> pass_len(nchunks, 0);
     for (std::size_t c = 0; c < nchunks; ++c) {
         const std::size_t off = c * chunk;
-        for (int n = 0; n < nn; ++n) {
-            const std::size_t len = node_len[static_cast<std::size_t>(n)];
+        for (const std::size_t len : node_counts_) {
             if (off < len) pass_len[c] += std::min(chunk, len - off);
         }
     }
     if (!hc_->is_leader()) {
-        stager_.consume_chunks(sync_, pass_len, plan.leaf);
+        stager_.consume_chunks(sync_, pass_len,
+                               stager_.resolve(staging_, total_bytes_));
         return true;
     }
     const Comm& bridge = hc_->bridge();
@@ -597,11 +478,10 @@ void AllgatherChannel::run(SyncPolicy sync, BridgeAlgo algo) {
     // Fig. 4 line 25/34: leaders wait until all partitions on their node
     // are initialized.
     sync_.ready_phase(sync);
-    const PipelinePlan pp =
-        stager_.plan(staging_, total_bytes_, /*multi_node=*/true, chunk_bytes_);
-    if (pp.pipelined) {
+    const RoundPlan plan = round_plan(algo);
+    if (plan.pipelined) {
         root.set_algo("pipelined");
-        const bool ok = run_pipelined(pp, robust ? cfg : nullptr);
+        const bool ok = run_pipelined(plan, robust ? cfg : nullptr);
         if (robust && hc_->is_leader() &&
             robust::agree_failure(hc_->bridge(), !ok, gen64(), *cfg, stats_)) {
             fail_shared_->fail_gen.store(gen64());
@@ -618,7 +498,7 @@ void AllgatherChannel::run(SyncPolicy sync, BridgeAlgo algo) {
     }
     if (!robust) {
         if (hc_->is_leader()) {
-            bridge_exchange(algo);
+            bridge_exchange(plan);
         }
         // Fig. 4 line 27/35: children wait until the exchange finished.
         sync_.release_phase(sync);
@@ -707,14 +587,14 @@ minimpi::CollRequest AllgatherChannel::start(SyncPolicy sync,
         return minimpi::CollRequest(minimpi::detail::make_complete_icoll(
             world, "hy_iallgather", std::move(on_wait)));
     }
-    started_algo_ = algo;
+    started_plan_ = round_plan(algo);
     if (task_ == nullptr) {
         // One-off: the engine worker and private matching context persist
         // across rounds (the lazy creation is collective over the bridge —
         // every leader's first start() happens in the same round).
         task_ = minimpi::detail::create_icoll(
             hc_->bridge(), "hy_iallgather",
-            [this] { bridge_exchange(started_algo_); },
+            [this] { bridge_exchange(started_plan_); },
             std::move(on_wait));
     }
     minimpi::detail::arm_icoll(*task_);

@@ -11,36 +11,6 @@
 
 namespace hympi {
 
-/// How the per-node leaders exchange node blocks (paper Sect. 4.1: "the
-/// irregular allgather variant is employed... can also be replaced by other
-/// regular operations (e.g., broadcast)"; the pipelined variant is the
-/// large-message method of Traeff et al. '08 that the conclusion points to).
-///
-/// Allgatherv delegates to the vendor library's MPI_Allgatherv and pays its
-/// under-tuning penalty (the Fig. 8 gap). BruckV, NeighborExchange and
-/// Pipelined are hybrid-layer implementations built directly on bridge
-/// point-to-point traffic — the directions of "A Locality-Aware Bruck
-/// Allgather" (arXiv:2206.03564) — which is exactly what lets the tuned
-/// tables close that gap.
-enum class BridgeAlgo {
-    Auto,        ///< consult the profile's decision table (default;
-                 ///< falls back to Allgatherv when the profile has none)
-    Allgatherv,  ///< MPI_Allgatherv over the bridge (the paper's default)
-    Bcast,       ///< one rooted broadcast per node block
-    Pipelined,   ///< segmented, pipelined ring for large node blocks
-    BruckV,      ///< log-round Bruck allgatherv on bridge point-to-point
-    NeighborExchange,  ///< pairwise neighbor exchange (even bridge size,
-                       ///< contiguous slices; falls back to Allgatherv)
-    LocBruck,    ///< locality-aware Bruck (arXiv:2206.03564): the primary
-                 ///< leader ships whole aggregated node blocks — the data
-                 ///< classic Bruck's first ceil(log2 ppn) rounds would move
-                 ///< rank-by-rank already travelled over shared memory into
-                 ///< the node block, and with L leaders per node ONE Bruck
-                 ///< exchange replaces L interleaved ones (an L-fold
-                 ///< inter-node message-count reduction). Non-primary
-                 ///< leaders send nothing; their slices ride along.
-};
-
 /// Hy_Allgather / Hy_Allgatherv (paper Fig. 3b and Fig. 4): a reusable
 /// channel holding the one-off state — the node-shared result buffer, the
 /// synchronization flags, and the bridge counts/displacements — so the
@@ -55,7 +25,7 @@ enum class BridgeAlgo {
 /// placement on a node-contiguous communicator, slot == rank; otherwise
 /// block_of() translates through the node-sorted rank array (Sect. 6) —
 /// readers are position-independent either way.
-class AllgatherChannel {
+class AllgatherChannel : public RoundSettings {
 public:
     /// Regular allgather: every rank contributes @p block_bytes.
     /// Collective over hc.world().
@@ -149,28 +119,17 @@ public:
         pipeline_segment_ = bytes;
     }
 
-    /// How the on-node phases treat the NUMA socket boundary (only
-    /// meaningful on clusters with sockets_per_node > 1; inert otherwise).
-    /// Default Auto consults the tuned SocketStaging decision table.
-    /// SocketStaging::Pipelined runs the chunked single-copy engine on
-    /// multi-node rounds (single-node rounds degrade to Staged).
-    void set_socket_staging(SocketStaging s) { staging_ = s; }
-    SocketStaging socket_staging() const { return staging_; }
-
-    /// Explicit pipeline chunk size (0 = the tuned/default size). Only
-    /// meaningful for rounds the engine actually chunks.
-    void set_chunk_bytes(std::size_t b) { chunk_bytes_ = b; }
-    std::size_t chunk_bytes() const { return chunk_bytes_; }
-
     const HierComm& hier() const { return *hc_; }
+
+    /// The bridge-wide shape of a round requested with @p algo under the
+    /// channel's current settings — what run() and start() execute, and
+    /// identical on every rank.
+    RoundPlan round_plan(BridgeAlgo algo = BridgeAlgo::Auto) const;
 
 private:
     void init_layout(std::span<const std::size_t> bytes_per_rank);
-    void bridge_exchange(BridgeAlgo algo);
-    /// Resolve BridgeAlgo::Auto via the profile's decision table, keyed by
-    /// (bridge size, largest node-block byte count). May set @p seg when
-    /// the table tuned a pipeline segment size.
-    BridgeAlgo tuned_bridge_algo(std::size_t& seg) const;
+    /// The leaders' whole-message exchange, as the plan resolved it.
+    void bridge_exchange(const RoundPlan& plan);
 
     /// Robust-mode leader exchange: pairwise ring of reliable (ARQ)
     /// transfers over the bridge. Returns false when any transfer exhausted
@@ -182,7 +141,7 @@ private:
     /// block), each pass published down the node/socket tree by its own
     /// release flag. Returns the robust failure verdict (always true on
     /// the fast path).
-    bool run_pipelined(const PipelinePlan& plan, const RobustConfig* cfg);
+    bool run_pipelined(const RoundPlan& plan, const RobustConfig* cfg);
     /// Rung 2: collective over world. Marks the channel flat, builds the
     /// private slot-major buffer, and — when @p refill — re-runs this
     /// generation's exchange as a flat allgatherv so the result is still
@@ -205,7 +164,6 @@ private:
     NodeSharedBuffer buf_;
     NodeSync sync_;
     SocketStager stager_;
-    SocketStaging staging_ = SocketStaging::Auto;
     std::size_t total_bytes_ = 0;
     std::vector<std::size_t> block_bytes_;  ///< per comm rank
     std::vector<std::size_t> slot_offset_;  ///< per slot, bytes into buffer
@@ -214,22 +172,17 @@ private:
     /// computation of ... received count and displacement ... is a one-off").
     std::vector<std::size_t> bridge_counts_;  ///< per bridge rank, bytes
     std::vector<std::size_t> bridge_displs_;  ///< per bridge rank, bytes
-    std::size_t max_bridge_count_ = 0;        ///< largest bridge slice
-    /// Largest whole-node block (rank-uniform, unlike max_bridge_count_,
-    /// which is per leader slice) — the LocBruck table key, so every
-    /// leader of a multi-leader node resolves Auto identically and the
-    /// primary's whole-block writes can never overlap a divergent peer's.
-    std::size_t max_node_block_ = 0;
-    /// Bridge slices abut in the shared buffer (true with one leader per
-    /// node: node-major order); NeighborExchange requires it.
-    bool bridge_contiguous_ = true;
+    /// Per-node whole blocks (node-major) and the largest slice any leader
+    /// ships: identical on every rank, the plan's table keys.
+    std::vector<std::size_t> node_displs_;
+    std::vector<std::size_t> node_counts_;
+    std::size_t max_bridge_count_ = 0;
     std::size_t pipeline_segment_ = 0;  ///< 0 = tuned/default heuristic
-    std::size_t chunk_bytes_ = 0;       ///< explicit pipeline chunk override
 
     /// Persistent engine task of the leader's split-phase bridge exchange
     /// (lazily created at the first start(); re-armed on every later one).
     std::shared_ptr<minimpi::detail::IcollState> task_;
-    BridgeAlgo started_algo_ = BridgeAlgo::Auto;  ///< algo of the armed round
+    RoundPlan started_plan_;  ///< plan of the armed round
     SyncPolicy started_sync_ = SyncPolicy::Barrier;
     /// A split-phase round is in flight on THIS rank (children have no
     /// engine task, so the guard cannot live on task_ alone).
@@ -248,10 +201,6 @@ private:
     std::shared_ptr<NodeFailWord> fail_shared_;  ///< per node
     RobustStats stats_;
 };
-
-/// Default segment size for BridgeAlgo::Pipelined, used when neither the
-/// decision table nor set_pipeline_segment supplies one.
-inline constexpr std::size_t kPipelineSegmentBytes = 32 * 1024;
 
 namespace detail {
 

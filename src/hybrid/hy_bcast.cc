@@ -117,12 +117,11 @@ void BcastChannel::run(int root, SyncPolicy sync) {
     // of chunk i and the leaf reads of chunk i-1. The trailing release
     // round keeps the epoch bookkeeping and the degradation ladder on the
     // same protocol as the whole-message path.
-    const PipelinePlan pp =
-        stager_.plan(staging_, bytes_, /*multi_node=*/true, chunk_bytes_);
-    if (pp.pipelined) {
+    const RoundPlan plan = round_plan();
+    if (plan.pipelined) {
         root_span.set_algo("pipelined");
-        root_span.set_chunks((bytes_ + pp.chunk_bytes - 1) / pp.chunk_bytes);
-        run_pipelined(root_node, pp, robust ? cfg : nullptr);
+        root_span.set_chunks((bytes_ + plan.chunk_bytes - 1) / plan.chunk_bytes);
+        run_pipelined(root_node, plan, robust ? cfg : nullptr);
         sync_.release_phase(sync);
         if (robust && fail_shared_ != nullptr &&
             fail_shared_->fail_gen.load() == gen64()) {
@@ -179,14 +178,15 @@ void BcastChannel::run(int root, SyncPolicy sync) {
     ++epoch_;
 }
 
-void BcastChannel::run_pipelined(int root_node, const PipelinePlan& plan,
+void BcastChannel::run_pipelined(int root_node, const RoundPlan& plan,
                                  const RobustConfig* cfg) {
     minimpi::RankCtx& ctx = hc_->world().ctx();
     std::byte* slot = write_buffer();
     const std::size_t chunk = plan.chunk_bytes;
     const std::size_t nchunks = (bytes_ + chunk - 1) / chunk;
     if (!hc_->is_primary_leader()) {
-        stager_.consume_chunks(sync_, bytes_, chunk, plan.leaf);
+        stager_.consume_chunks(sync_, RoundPlan::even_chunks(bytes_, chunk),
+                               stager_.resolve(staging_, bytes_));
         return;
     }
     const Comm& bridge = hc_->bridge();

@@ -29,7 +29,7 @@ namespace hympi {
 /// slot has since passed the iteration-e+1 synchronization. Without the
 /// second slot, the next root's store would race the previous iteration's
 /// readers.
-class BcastChannel {
+class BcastChannel : public RoundSettings {
 public:
     /// Collective over hc.world(); 2 x @p bytes of shared memory per node
     /// (one-off).
@@ -85,19 +85,13 @@ public:
     /// communicator. Sticky for the channel lifetime.
     bool degraded_flat() const { return degraded_flat_; }
 
-    /// On-node NUMA policy for the post-exchange read phase (inert on
-    /// 1-socket clusters). Default Auto consults the tuned table.
-    /// SocketStaging::Pipelined runs the chunked single-copy engine on
-    /// multi-node rounds (single-node rounds degrade to Staged).
-    void set_socket_staging(SocketStaging s) { staging_ = s; }
-    SocketStaging socket_staging() const { return staging_; }
-
-    /// Explicit pipeline chunk size (0 = the tuned/default size). Only
-    /// meaningful for rounds the engine actually chunks.
-    void set_chunk_bytes(std::size_t b) { chunk_bytes_ = b; }
-    std::size_t chunk_bytes() const { return chunk_bytes_; }
-
     const HierComm& hier() const { return *hc_; }
+
+    /// The bridge-wide shape of a round under the channel's current
+    /// settings — what run() executes, and identical on every rank.
+    RoundPlan round_plan() const {
+        return plan_round(PlanInputs(*hc_), request(bytes_));
+    }
 
 private:
     /// Rung 2: mark flat, build the private double buffer, optionally redo
@@ -117,15 +111,13 @@ private:
 
     /// The chunked single-copy round: per-chunk bridge broadcast at the
     /// primary leaders, per-chunk release flags down the node/socket tree.
-    void run_pipelined(int root_node, const PipelinePlan& plan,
+    void run_pipelined(int root_node, const RoundPlan& plan,
                        const RobustConfig* cfg);
 
     const HierComm* hc_ = nullptr;
     NodeSharedBuffer buf_;
     NodeSync sync_;
     SocketStager stager_;
-    SocketStaging staging_ = SocketStaging::Auto;
-    std::size_t chunk_bytes_ = 0;  ///< explicit pipeline chunk override
     std::size_t bytes_ = 0;
     std::size_t bytes_padded_ = 0;  ///< slot stride (cache-line aligned)
     std::uint64_t epoch_ = 0;       ///< completed run() count (rank-local)

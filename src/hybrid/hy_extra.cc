@@ -85,15 +85,14 @@ void AllreduceChannel::run(Op op, SyncPolicy sync) {
     sync_.full_sync(sync);
 
     if (hc_->num_nodes() > 1) {
-        const PipelinePlan pp = stager_.plan(staging_, vec_bytes_,
-                                             /*multi_node=*/true, chunk_bytes_);
-        if (pp.pipelined) {
+        const RoundPlan plan = round_plan();
+        if (plan.pipelined) {
             // XBRC-style chunked round: the per-rank chunk-ready flags
             // replace ready_phase (the leader bridges chunk 0 while the
             // node is still reducing chunk 1); the trailing release keeps
             // the epoch bookkeeping identical to whole-message rounds.
             root_span.set_algo("pipelined");
-            run_pipelined(op, pp, robust_on(ctx));
+            run_pipelined(op, plan, robust_on(ctx));
             sync_.release_phase(sync);
             return;
         }
@@ -183,7 +182,7 @@ void AllreduceChannel::run(Op op, SyncPolicy sync) {
     stager_.distribute(vec_bytes_, staging_);
 }
 
-void AllreduceChannel::run_pipelined(Op op, const PipelinePlan& plan,
+void AllreduceChannel::run_pipelined(Op op, const RoundPlan& plan,
                                      const RobustConfig* cfg) {
     const Comm& shm = hc_->shm();
     minimpi::RankCtx& ctx = shm.ctx();
@@ -191,12 +190,10 @@ void AllreduceChannel::run_pipelined(Op op, const PipelinePlan& plan,
     const int me = shm.rank();
     const std::size_t ds = datatype_size(dt_);
     const std::size_t ce = std::max<std::size_t>(plan.chunk_bytes / ds, 1);
-    const std::size_t nchunks = (count_ + ce - 1) / ce;
+    const auto lens = RoundPlan::even_chunks(vec_bytes_, ce * ds);
+    const std::size_t nchunks = lens.size();
     const int node_slot = sync_.chunk_slot_node();
-    std::vector<std::size_t> lens(nchunks);
-    for (std::size_t c = 0; c < nchunks; ++c) {
-        lens[c] = std::min(ce, count_ - c * ce) * ds;
-    }
+    const SocketStaging leaf = stager_.resolve(staging_, vec_bytes_);
 
     // Chunked cooperative reduction (XBRC): each rank reduces its stripe
     // of chunk c's elements directly into the node result slice — the
@@ -223,7 +220,7 @@ void AllreduceChannel::run_pipelined(Op op, const PipelinePlan& plan,
                          nelem);
             }
             // NUMA cost of this chunk's striped input gather.
-            stager_.reduce_gather(lens[c], plan.leaf);
+            stager_.reduce_gather(lens[c], leaf);
             total_sb += sb;
             // The leader consumes its own completion in program order; only
             // the other ranks need a flag (slot 0 stays untouched all round,
@@ -237,7 +234,7 @@ void AllreduceChannel::run_pipelined(Op op, const PipelinePlan& plan,
         for (int r = 1; r < ppn; ++r) {
             if (r != me) sync_.chunk_skip(sync_.chunk_slot_rank(r), nchunks);
         }
-        stager_.consume_chunks(sync_, lens, plan.leaf);
+        stager_.consume_chunks(sync_, lens, leaf);
         return;
     }
 

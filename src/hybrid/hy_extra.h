@@ -38,8 +38,10 @@ struct RobustChannelState {
 /// Hybrid allreduce: on-node processes reduce their node's contributions
 /// cooperatively (each rank owns a stripe of elements), the leader runs the
 /// inter-node allreduce over the bridge, and the node shares ONE result
-/// vector.
-class AllreduceChannel {
+/// vector. The socket staging setting covers the striped node reduction as
+/// well as the result read-back; Pipelined runs the XBRC-style chunked
+/// reduction.
+class AllreduceChannel : public RoundSettings {
 public:
     /// Collective over hc.world(); @p count elements of @p dt.
     AllreduceChannel(const HierComm& hc, std::size_t count, Datatype dt);
@@ -58,21 +60,14 @@ public:
     /// in flight per channel; robust mode completes synchronously at post.
     minimpi::CollRequest start(Op op, SyncPolicy sync = SyncPolicy::Barrier);
 
-    /// On-node NUMA policy: how the striped node reduction and the result
-    /// read-back treat the socket boundary (inert on 1-socket clusters).
-    /// Default Auto consults the tuned SocketStaging decision table.
-    /// SocketStaging::Pipelined runs the XBRC-style chunked reduction on
-    /// multi-node rounds (single-node rounds degrade to Staged).
-    void set_socket_staging(SocketStaging s) { staging_ = s; }
-    SocketStaging socket_staging() const { return staging_; }
-
-    /// Explicit pipeline chunk size (0 = the tuned/default size). Only
-    /// meaningful for rounds the engine actually chunks.
-    void set_chunk_bytes(std::size_t b) { chunk_bytes_ = b; }
-    std::size_t chunk_bytes() const { return chunk_bytes_; }
-
     /// Resilience counters of this channel (robust mode only).
     const RobustStats& robust_stats() const { return rs_.stats; }
+
+    /// The bridge-wide shape of a round under the channel's current
+    /// settings — what run() executes, and identical on every rank.
+    RoundPlan round_plan() const {
+        return plan_round(PlanInputs(*hc_), request(vec_bytes_));
+    }
 
 private:
     /// The XBRC-style chunked round: each rank reduces its stripe of chunk
@@ -80,15 +75,13 @@ private:
     /// per-rank ready flag; the leader bridges chunk c as soon as its ppn
     /// ready flags land (overlapping the node reduction of chunk c+1) and
     /// re-publishes it on the node-level chunk flag for the leaf readers.
-    void run_pipelined(Op op, const PipelinePlan& plan,
+    void run_pipelined(Op op, const RoundPlan& plan,
                        const RobustConfig* cfg);
 
     const HierComm* hc_;
     NodeSharedBuffer buf_;
     NodeSync sync_;
     SocketStager stager_;
-    SocketStaging staging_ = SocketStaging::Auto;
-    std::size_t chunk_bytes_ = 0;  ///< explicit pipeline chunk override
     std::size_t count_;
     Datatype dt_;
     std::size_t vec_bytes_;

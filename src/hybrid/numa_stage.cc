@@ -1,8 +1,5 @@
 #include "hybrid/numa_stage.h"
 
-#include <algorithm>
-#include <vector>
-
 #include "hybrid/hy_trace.h"
 #include "tuning/decision.h"
 
@@ -49,51 +46,6 @@ SocketStaging SocketStager::resolve(SocketStaging mode,
                : SocketStaging::Flat;
 }
 
-PipelinePlan SocketStager::plan(SocketStaging mode, std::size_t bytes,
-                                bool multi_node,
-                                std::size_t chunk_override) const {
-    PipelinePlan p;
-    p.leaf = resolve(mode, bytes);
-    // The chunked path overlaps the bridge transfer with the on-node
-    // copies, so it needs a bridge (multi-node) and whole-node staging
-    // slices (one leader per node); a single-node or multi-leader round
-    // falls back to the whole-message modes above.
-    if (bytes == 0 || !multi_node || hc_ == nullptr ||
-        hc_->leaders_per_node() != 1) {
-        return p;
-    }
-    std::size_t chunk = chunk_override;
-    if (mode == SocketStaging::Auto) {
-        // Auto engages pipelining only on a tuned ChunkSize entry (and
-        // only where the socket model applies — with free leaf reads the
-        // chunked bridge has nothing to overlap): no table, no pipeline,
-        // so untouched profiles keep their exact pre-pipeline clocks.
-        if (!active_) return p;
-        const tuning::DecisionTable* table = hc_->world().ctx().tuned;
-        if (table == nullptr) return p;
-        const auto c =
-            table->lookup(tuning::Op::ChunkSize, tuning::Shape::Shm,
-                          hc_->shm().size(), bytes == 0 ? 1 : bytes);
-        if (!c.has_value() || c->algo != tuning::algo::kCsPipelined) return p;
-        if (chunk == 0) chunk = c->segment_bytes;
-    } else if (mode != SocketStaging::Pipelined) {
-        return p;
-    } else if (chunk == 0) {
-        const tuning::DecisionTable* table = hc_->world().ctx().tuned;
-        if (table != nullptr) {
-            const auto c =
-                table->lookup(tuning::Op::ChunkSize, tuning::Shape::Shm,
-                              hc_->shm().size(), bytes == 0 ? 1 : bytes);
-            if (c.has_value() && c->segment_bytes != 0) {
-                chunk = c->segment_bytes;
-            }
-        }
-    }
-    p.pipelined = true;
-    p.chunk_bytes = detail::clamp_segment(chunk, kDefaultChunkBytes, 64, bytes);
-    return p;
-}
-
 void SocketStager::distribute_chunk(std::size_t chunk_len,
                                     SocketStaging leaf) {
     if (!active_ || chunk_len == 0) return;
@@ -110,17 +62,6 @@ void SocketStager::distribute_chunk(std::size_t chunk_len,
     } else {
         ctx.charge_xsocket_read(chunk_len, hc_->socket().size());
     }
-}
-
-void SocketStager::consume_chunks(NodeSync& sync, std::size_t bytes,
-                                  std::size_t chunk_bytes,
-                                  SocketStaging leaf) {
-    const std::size_t nchunks = (bytes + chunk_bytes - 1) / chunk_bytes;
-    std::vector<std::size_t> lens(nchunks);
-    for (std::size_t c = 0; c < nchunks; ++c) {
-        lens[c] = std::min(chunk_bytes, bytes - c * chunk_bytes);
-    }
-    consume_chunks(sync, lens, leaf);
 }
 
 void SocketStager::consume_chunks(NodeSync& sync,

@@ -1,69 +1,13 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 
 #include "hybrid/hier_comm.h"
+#include "hybrid/round_plan.h"
 #include "hybrid/sync.h"
 
 namespace hympi {
-
-/// How a hybrid channel's on-node phases treat the NUMA socket boundary
-/// (only meaningful when the cluster models sockets_per_node > 1):
-///  * Flat   — the pre-socket behaviour: every rank touches the node-shared
-///    buffer directly, so ranks on a remote socket pay the contended
-///    cross-socket (QPI/UPI) cost for every byte they pull across;
-///  * Staged — the socket leader crosses the boundary ONCE on behalf of its
-///    socket (a bulk mirror copy into a socket-local region), then its
-///    socket's ranks read locally after one socket-scoped sync;
-///  * Pipelined — the staged single-copy tree, but chunked: the payload
-///    moves in chunks, each published down the node->socket->leaf tree by
-///    its own release flag as soon as it lands, so the bridge transfer of
-///    chunk i+1 overlaps the cross-socket mirror of chunk i and the leaf
-///    reads of chunk i-1 (only meaningful on multi-node channels; a
-///    single-node round degrades to Staged);
-///  * Auto   — consult the profile's tuned decision tables (falls back to a
-///    size threshold when the profile has none; Auto never picks Pipelined
-///    without a tuned ChunkSize entry saying so).
-enum class SocketStaging : std::uint8_t {
-    Auto,
-    Flat,
-    Staged,
-    Pipelined,
-};
-
-/// Chunk size of a pipelined round when neither an explicit override nor a
-/// tuned ChunkSize entry names one.
-inline constexpr std::size_t kDefaultChunkBytes = 32 * 1024;
-
-namespace detail {
-
-/// The one segment/chunk clamp rule shared by every segmented path
-/// (PipelinePlan::plan, BridgeAlgo::Pipelined in bridge_exchange, and the
-/// tuned_bridge_algo resolution): a 0 request means "use @p fallback", the
-/// result is floored at max(@p floor, 1) and capped at the payload (itself
-/// floored at 1, so a 0-byte round can never divide by zero). Idempotent —
-/// re-clamping a clamped value with the same bounds is the identity.
-constexpr std::size_t clamp_segment(std::size_t seg, std::size_t fallback,
-                                    std::size_t floor, std::size_t payload) {
-    if (seg == 0) seg = fallback;
-    if (floor < 1) floor = 1;
-    if (seg < floor) seg = floor;
-    if (payload < 1) payload = 1;
-    return seg < payload ? seg : payload;
-}
-
-}  // namespace detail
-
-/// Resolved shape of one pipelined round (see SocketStager::plan).
-struct PipelinePlan {
-    bool pipelined = false;       ///< run the chunked single-copy path
-    std::size_t chunk_bytes = 0;  ///< resolved chunk size (0 when off)
-    /// Leaf read mode of each chunk (and of the whole round when the
-    /// chunked path is off): Flat or Staged, never Auto/Pipelined.
-    SocketStaging leaf = SocketStaging::Flat;
-};
 
 /// Per-channel driver of the socket-staged on-node phases. Construction is
 /// cheap and local; all methods are no-ops unless the hierarchy has a
@@ -76,25 +20,13 @@ public:
     SocketStager() = default;
     explicit SocketStager(const HierComm& hc);
 
-    /// Whether the socket model applies to this channel at all.
-    bool active() const { return active_; }
-
-    /// Resolve Auto against the tuned SocketStaging table (keyed by the
-    /// on-node population and @p bytes); deterministic and uniform across
-    /// the ranks of one socket. Pipelined resolves to the leaf mode it
-    /// stages chunks with (Staged when the socket model applies, else
-    /// Flat); plan() is the chunked-path entry point.
+    /// Resolve the node-local leaf mode: Auto against the tuned
+    /// SocketStaging table (keyed by THIS node's population and @p bytes —
+    /// leaf staging is the one choice that may differ between nodes, so it
+    /// stays out of the RoundPlan); deterministic and uniform across the
+    /// ranks of one node. Pipelined resolves to the leaf mode it stages
+    /// chunks with (Staged when the socket model applies, else Flat).
     SocketStaging resolve(SocketStaging mode, std::size_t bytes) const;
-
-    /// Resolve the full pipeline shape of a round moving @p bytes.
-    /// Forced Pipelined engages the chunked path on any multi-node round
-    /// (@p chunk_override, then the tuned ChunkSize segment, then a 32 KiB
-    /// default picks the chunk size); Auto engages it only when the tuned
-    /// ChunkSize table names pipelined at this (ppn, bytes) point AND the
-    /// socket model applies — without a table Auto never pipelines, so
-    /// every previously-tuned configuration keeps its exact clocks.
-    PipelinePlan plan(SocketStaging mode, std::size_t bytes, bool multi_node,
-                      std::size_t chunk_override) const;
 
     /// Charge one pipelined chunk's leaf phase: the socket leaders mirror
     /// the chunk across (Staged leaf) or every remote-socket reader pulls
@@ -102,23 +34,17 @@ public:
     /// barrier — per-chunk socket flags provide the ordering.
     void distribute_chunk(std::size_t chunk_len, SocketStaging leaf);
 
-    /// Consumer side of one pipelined round of @p bytes in @p chunk_bytes
-    /// chunks: wait for each chunk's node-level release flag (published by
-    /// the producing primary leader as the chunk lands), run the chunk's
-    /// leaf phase, and — Staged leaf — have each remote socket's leader
-    /// re-publish the chunk on its socket flag so its peers read the
-    /// socket-local mirror chunk by chunk. Every rank of the node except
-    /// the primary leader calls this exactly once per pipelined round
-    /// (the per-slot flag mirrors stay consistent because the round shape
-    /// is deterministic and uniform across the node).
-    void consume_chunks(NodeSync& sync, std::size_t bytes,
-                        std::size_t chunk_bytes, SocketStaging leaf);
-
-    /// Same protocol with an explicit per-chunk length vector — for rounds
-    /// whose chunks are not an even split of one linear buffer (allgather
-    /// passes ship one slice of EVERY node block, so pass lengths taper as
-    /// short blocks run dry). The producer must signal exactly
-    /// chunk_lens.size() node-level flags.
+    /// Consumer side of one pipelined round of @p chunk_lens chunks: wait
+    /// for each chunk's node-level release flag (published by the producing
+    /// primary leader as the chunk lands), run the chunk's leaf phase, and —
+    /// Staged leaf — have each remote socket's leader re-publish the chunk
+    /// on its socket flag so its peers read the socket-local mirror chunk
+    /// by chunk. Every rank of the node except the primary leader calls
+    /// this exactly once per pipelined round, and the producer signals
+    /// exactly chunk_lens.size() node-level flags (the per-slot flag mirrors
+    /// stay consistent because the round shape is deterministic and uniform
+    /// across the node). The lengths need not be an even split: allgather
+    /// passes taper as short node blocks run dry.
     void consume_chunks(NodeSync& sync, std::span<const std::size_t> chunk_lens,
                         SocketStaging leaf);
 

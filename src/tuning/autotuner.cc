@@ -449,7 +449,7 @@ DecisionTable tune_profile(const mm::ModelParams& profile,
     }
     // Re-register so the locality-aware sweep's per-leader baseline (Auto)
     // runs the tuned bridge selection just swept. LocBruck rows are
-    // collected aside like ChunkSize's: tuned_bridge_algo consults them
+    // collected aside like ChunkSize's: plan_round consults them
     // FIRST, so a row set at an earlier grid point would hijack a later
     // point's Auto baseline.
     register_table(table);

@@ -7,6 +7,8 @@
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "conformance/conformance.h"
 
@@ -206,6 +208,74 @@ TEST(Conformance, PaperShapeScaledDown) {
                 << (sync == hympi::SyncPolicy::Barrier ? "barrier" : "flags")
                 << ": " << res.detail;
         }
+    }
+}
+
+TEST(Conformance, ReductionRejectsUngeneratedDatatype) {
+    // The reduction inputs come in Int32, Int64 or UInt64 only. A hand-built
+    // spec that keeps the Byte default must fail with a typed error naming
+    // the datatype — it used to write 8 bytes per 1-byte element and
+    // corrupt the heap.
+    CaseSpec spec;
+    spec.procs_per_node = {4, 4};
+    spec.op = CollOp::Allreduce;
+    spec.block_bytes = 64;
+    const CaseResult res = run_case(spec);
+    EXPECT_FALSE(res.ok);
+    EXPECT_NE(res.detail.find("not Byte"), std::string::npos) << res.detail;
+}
+
+// ---- uneven nodes: every leader resolves the same round plan ------------
+// Each spec below split the bridge leaders while the round plan was keyed
+// on per-node state (this node's population, its populated sockets): the
+// 5-rank node's leader chunked the round while the small node's leader
+// did not, or chunked it differently.
+
+CaseSpec uneven_case(CollOp op, std::vector<int> nodes, int sockets,
+                     hympi::SocketStaging staging, bool cray) {
+    CaseSpec spec;
+    spec.op = op;
+    spec.procs_per_node = std::move(nodes);
+    spec.sockets = sockets;
+    spec.staging = staging;
+    spec.cray_profile = cray;
+    spec.block_bytes = 64 * 1024;
+    return spec;
+}
+
+TEST(ConformanceUneven, PipelinedAllreduceDoesNotWedge) {
+    // Wedged with zero CPU: 8 per-chunk bridge allreduces on one leader, 2
+    // on the other, each parked on a wake word nobody would signal.
+    CaseSpec spec = uneven_case(CollOp::Allreduce, {5, 1}, 4,
+                                hympi::SocketStaging::Pipelined, false);
+    spec.sync = hympi::SyncPolicy::Flags;
+    spec.iterations = 2;
+    spec.dt = minimpi::Datatype::Int64;
+    spec.red_op = minimpi::Op::Max;
+    const CaseResult res = run_case(spec);
+    EXPECT_TRUE(res.ok) << spec.describe() << ": " << res.detail;
+}
+
+TEST(ConformanceUneven, Seed106AutoAllreduceDoesNotTruncate) {
+    // Seed 106's shrunk reproducer: "message truncated: incoming 32768
+    // bytes exceeds receive buffer of 16384 bytes".
+    CaseSpec spec = uneven_case(CollOp::Allreduce, {5, 2}, 2,
+                                hympi::SocketStaging::Auto, true);
+    spec.sync = hympi::SyncPolicy::Flags;
+    spec.dt = minimpi::Datatype::UInt64;
+    spec.red_op = minimpi::Op::Sum;
+    const CaseResult res = run_case(spec);
+    EXPECT_TRUE(res.ok) << spec.describe() << ": " << res.detail;
+}
+
+TEST(ConformanceUneven, AutoBcastDeliversEveryByte) {
+    // Returned wrong data with no library error: the 1-rank node read
+    // 0x00 from byte 32768 on, where the flat reference had the payload.
+    for (const int sockets : {2, 4}) {
+        const CaseSpec spec = uneven_case(CollOp::Bcast, {5, 1}, sockets,
+                                          hympi::SocketStaging::Auto, true);
+        const CaseResult res = run_case(spec);
+        EXPECT_TRUE(res.ok) << spec.describe() << ": " << res.detail;
     }
 }
 

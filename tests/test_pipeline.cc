@@ -36,44 +36,112 @@ TEST(PipelinePlan, ResolveClampsZeroBytesToSmallestSize) {
             EXPECT_EQ(st.resolve(SocketStaging::Pipelined, 0),
                       SocketStaging::Staged);
             // A 0-byte round never engages the chunked path.
-            EXPECT_FALSE(
-                st.plan(SocketStaging::Pipelined, 0, true, 0).pipelined);
+            EXPECT_FALSE(plan_round(PlanInputs(hc),
+                                    {.staging = SocketStaging::Pipelined})
+                             .pipelined);
             barrier(world);
         });
     }
 }
+
+namespace {
+
+RoundPlan plan_of(const HierComm& hc, SocketStaging staging,
+                  std::size_t bytes, std::size_t chunk = 0) {
+    return plan_round(PlanInputs(hc), {.bytes = bytes,
+                                       .staging = staging,
+                                       .chunk_bytes = chunk});
+}
+
+}  // namespace
 
 TEST(PipelinePlan, ChunkClampAndGating) {
     Runtime rt(ClusterSpec::regular(2, 8, Placement::Smp, 2),
                ModelParams::test(), PayloadMode::SizeOnly);
     rt.run([](Comm& world) {
         HierComm hc(world);
-        SocketStager st(hc);
         // Chunk override is clamped to [64, bytes].
-        PipelinePlan p = st.plan(SocketStaging::Pipelined, 100, true, 8);
+        RoundPlan p = plan_of(hc, SocketStaging::Pipelined, 100, 8);
         EXPECT_TRUE(p.pipelined);
         EXPECT_EQ(p.chunk_bytes, 64u);
-        p = st.plan(SocketStaging::Pipelined, 100, true, 1 << 20);
+        p = plan_of(hc, SocketStaging::Pipelined, 100, 1 << 20);
         EXPECT_EQ(p.chunk_bytes, 100u);
         // No override and no tuned entry (test profile): the default size.
-        p = st.plan(SocketStaging::Pipelined, 1 << 20, true, 0);
+        p = plan_of(hc, SocketStaging::Pipelined, 1 << 20);
         EXPECT_EQ(p.chunk_bytes, kDefaultChunkBytes);
-        // Single-node rounds and non-pipelined modes never chunk; Auto
-        // without a tuned ChunkSize row never chunks either.
-        EXPECT_FALSE(
-            st.plan(SocketStaging::Pipelined, 4096, false, 0).pipelined);
-        EXPECT_FALSE(st.plan(SocketStaging::Staged, 1 << 20, true, 0)
-                         .pipelined);
-        EXPECT_FALSE(st.plan(SocketStaging::Auto, 1 << 20, true, 0)
-                         .pipelined);
+        // Non-pipelined modes never chunk; Auto without a tuned ChunkSize
+        // row never chunks either.
+        EXPECT_FALSE(plan_of(hc, SocketStaging::Staged, 1 << 20).pipelined);
+        EXPECT_FALSE(plan_of(hc, SocketStaging::Auto, 1 << 20).pipelined);
         // Staging slices are whole-node: multi-leader hierarchies fall
         // back to the whole-message modes.
         HierComm two(world, 2);
-        SocketStager st2(two);
-        EXPECT_FALSE(
-            st2.plan(SocketStaging::Pipelined, 1 << 20, true, 0).pipelined);
+        EXPECT_FALSE(plan_of(two, SocketStaging::Pipelined, 1 << 20).pipelined);
         barrier(world);
     });
+    // Single-node rounds never chunk: there is no bridge to overlap.
+    Runtime one(ClusterSpec::regular(1, 8, Placement::Smp, 2),
+                ModelParams::test(), PayloadMode::SizeOnly);
+    one.run([](Comm& world) {
+        HierComm hc(world);
+        EXPECT_FALSE(plan_of(hc, SocketStaging::Pipelined, 4096).pipelined);
+        barrier(world);
+    });
+}
+
+TEST(RoundPlan, IdenticalOnEveryRank) {
+    // Every leader must make the same sequence of bridge calls, so every
+    // rank has to resolve the same plan for every channel — in particular
+    // on uneven node populations, where a key on this node's population or
+    // populated sockets would split the leaders.
+    const std::vector<std::vector<int>> clusters = {
+        {5, 1}, {5, 2}, {6, 3}, {8, 8, 1}};
+    const std::vector<std::size_t> sizes = {0,         1,         64,
+                                            1024,      4096,      16 * 1024,
+                                            64 * 1024, 256 * 1024};
+    const SocketStaging modes[] = {SocketStaging::Auto,
+                                   SocketStaging::Pipelined};
+    for (const auto& nodes : clusters) {
+        for (const int sockets : {2, 4}) {
+            for (const bool cray : {true, false}) {
+                Runtime rt(ClusterSpec::irregular(nodes, Placement::Smp,
+                                                  sockets),
+                           cray ? ModelParams::cray() : ModelParams::openmpi(),
+                           PayloadMode::SizeOnly);
+                // plans[rank] lists that rank's plans in program order.
+                std::vector<std::vector<RoundPlan>> plans(
+                    static_cast<std::size_t>(rt.cluster().total_ranks()));
+                rt.run([&](Comm& world) {
+                    HierComm hc(world);
+                    auto& mine = plans[static_cast<std::size_t>(world.rank())];
+                    for (const SocketStaging mode : modes) {
+                        for (const std::size_t b : sizes) {
+                            AllgatherChannel ag(hc, b);
+                            ag.set_socket_staging(mode);
+                            mine.push_back(ag.round_plan());
+                            BcastChannel bc(hc, b);
+                            bc.set_socket_staging(mode);
+                            mine.push_back(bc.round_plan());
+                            AllreduceChannel ar(hc, b / 8, Datatype::UInt64);
+                            ar.set_socket_staging(mode);
+                            mine.push_back(ar.round_plan());
+                        }
+                    }
+                });
+                for (std::size_t r = 1; r < plans.size(); ++r) {
+                    ASSERT_EQ(plans[r].size(), plans[0].size());
+                    for (std::size_t i = 0; i < plans[r].size(); ++i) {
+                        EXPECT_EQ(plans[r][i], plans[0][i])
+                            << "nodes[0]=" << nodes[0] << " sockets "
+                            << sockets << (cray ? " cray" : " openmpi")
+                            << " plan " << i << " rank " << r << ": "
+                            << plans[r][i].describe() << " vs rank 0: "
+                            << plans[0][i].describe();
+                    }
+                }
+            }
+        }
+    }
 }
 
 // ---- byte equality against the flat references --------------------------
@@ -232,7 +300,7 @@ TEST(PipelineClocks, DeterministicAndBeatsStagedAtLargeSizes) {
 }
 
 TEST(PipelineClocks, SingleNodeDegradesToStagedExactly) {
-    // plan() refuses single-node rounds; forced Pipelined must cost exactly
+    // The plan refuses single-node rounds; forced Pipelined must cost exactly
     // what forced Staged costs — bit-identical clocks.
     const ClusterSpec c = ClusterSpec::regular(1, 8, Placement::Smp, 2);
     EXPECT_EQ(bcast_clocks(c, SocketStaging::Pipelined, 64 * 1024),
