@@ -14,7 +14,6 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "tuning/decision.h"
 
 using namespace minimpi;
 
@@ -24,36 +23,27 @@ constexpr int kNodes = 2;
 constexpr int kPpn = 8;
 constexpr int kSockets = 2;
 
+/// One Hy_Bcast channel per rank. Rank 0 writes to @p chunks the chunk
+/// count its round plan resolves (what run() executes, on every rank);
+/// NaN when the round is not chunked.
 std::function<std::function<void()>(Comm&)> bcast_setup(
-    std::size_t bytes, hympi::SocketStaging staging, std::size_t chunk) {
+    std::size_t bytes, hympi::SocketStaging staging, std::size_t chunk,
+    double* chunks) {
     return [=](Comm& world) -> std::function<void()> {
         auto hc = std::make_shared<hympi::HierComm>(world);
         auto ch = std::make_shared<hympi::BcastChannel>(*hc, bytes);
         ch->set_socket_staging(staging);
         ch->set_chunk_bytes(chunk);
+        if (world.rank() == 0) {
+            const hympi::RoundPlan plan = ch->round_plan();
+            *chunks = plan.pipelined
+                          ? static_cast<double>(hympi::RoundPlan::even_chunks(
+                                                    bytes, plan.chunk_bytes)
+                                                    .size())
+                          : std::nan("");
+        }
         return [hc, ch] { ch->run(0); };
     };
-}
-
-/// Chunk count the engine will use for @p bytes under a forced chunk size
-/// (mirrors plan_round's [64, bytes] clamp); NaN = not chunked.
-double forced_chunks(std::size_t bytes, std::size_t chunk) {
-    if (bytes == 0) return std::nan("");
-    const std::size_t c = std::min(std::max<std::size_t>(chunk, 64), bytes);
-    return static_cast<double>((bytes + c - 1) / c);
-}
-
-/// Chunk count of the Auto column: pipelined only on a tuned kCsPipelined
-/// row (the lookup plan_round performs; kPpn is every node's population).
-double auto_chunks(const char* profile, std::size_t bytes) {
-    const tuning::DecisionTable* table = tuning::find_table(profile);
-    if (table == nullptr || bytes == 0) return std::nan("");
-    const auto c = table->lookup(tuning::Op::ChunkSize, tuning::Shape::Shm,
-                                 kPpn, bytes);
-    if (!c.has_value() || c->algo != tuning::algo::kCsPipelined) {
-        return std::nan("");
-    }
-    return forced_chunks(bytes, c->segment_bytes);
 }
 
 }  // namespace
@@ -94,16 +84,11 @@ int main() {
                 Runtime rt(ClusterSpec::regular(kNodes, kPpn, Placement::Smp,
                                                 kSockets),
                            prof.params, PayloadMode::SizeOnly);
+                double n_chunks = std::nan("");
                 row.push_back(benchu::osu_latency(
-                    rt, kWarmup, kIters, bcast_setup(bytes, v.staging,
-                                                     v.chunk)));
-                if (v.staging == hympi::SocketStaging::Pipelined) {
-                    chunks.push_back(forced_chunks(bytes, v.chunk));
-                } else if (v.staging == hympi::SocketStaging::Auto) {
-                    chunks.push_back(auto_chunks(prof.name, bytes));
-                } else {
-                    chunks.push_back(std::nan(""));
-                }
+                    rt, kWarmup, kIters,
+                    bcast_setup(bytes, v.staging, v.chunk, &n_chunks)));
+                chunks.push_back(n_chunks);
             }
             table.add_row(static_cast<double>(elements), row);
             table.set_row_chunks(chunks);

@@ -1,7 +1,9 @@
 #include "minimpi/runtime.h"
 
 #include <pthread.h>
+#include <sched.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <exception>
@@ -78,7 +80,7 @@ void Runtime::ring_waiters(const std::vector<CommState*>* comms) {
     // take a comm's op_mu and then registry_mu_ (create_comm, keep_alive),
     // so taking op_mu under registry_mu_ would invert that order. The raw
     // pointers stay valid — comms_ and the word owners are only released
-    // between runs, after every rank thread joined.
+    // between runs, after every rank returned.
     std::vector<CommState*> all;
     {
         std::lock_guard<std::mutex> lock(registry_mu_);
@@ -152,6 +154,7 @@ struct RankThreadArgs {
     CommState* world_state;
     const std::function<void(Comm&)>* rank_main;
     std::exception_ptr* error_out;
+    cpu_set_t cpus;  ///< affinity the rank runs with (see place_ranks)
 };
 
 /// Fill the span counters that restate a stats field from that field, so
@@ -166,30 +169,207 @@ void derive_counters(hytrace::Counters& c, const CommStats& stats,
     c.shrinks = robust.shrinks;
 }
 
-void* rank_thread_entry(void* raw) {
-    auto* args = static_cast<RankThreadArgs*>(raw);
+void rank_thread_entry(RankThreadArgs* args) {
     try {
         Comm world(args->world_state, args->ctx, args->ctx->world_rank);
         (*args->rank_main)(world);
     } catch (const detail::RankKilled& k) {
         // Scheduled process failure (FaultPlan kill), not an error: the
-        // thread exits silently and the job keeps running. Survivors observe
+        // rank returns silently and the job keeps running. Survivors observe
         // the death as ProcessFailedError and run detect–agree–shrink.
         args->runtime->on_rank_death(k.world_rank, k.at);
     } catch (...) {
         *args->error_out = std::current_exception();
         args->runtime->poison_from(args->ctx->world_rank);
     }
-    return nullptr;
 }
+
+/// Affinity of every rank (indexed by world rank): the node-major rank
+/// order cut into equal contiguous blocks, one per CPU the calling thread
+/// may run on, so a node's ranks share a CPU (or a few neighbouring ones)
+/// and their flag, rendezvous and p2p hand-offs stay on it. With one
+/// allowed CPU every rank keeps the caller's mask.
+std::vector<cpu_set_t> place_ranks(const ClusterSpec& cluster) {
+    const auto n = static_cast<std::size_t>(cluster.total_ranks());
+    cpu_set_t caller;  // stays empty if unreadable: then no rank moves
+    CPU_ZERO(&caller);
+    sched_getaffinity(0, sizeof caller, &caller);
+    std::vector<cpu_set_t> out(n, caller);
+    std::vector<int> cpus;
+    for (int c = 0; c < CPU_SETSIZE; ++c) {
+        if (CPU_ISSET(c, &caller)) cpus.push_back(c);
+    }
+    if (cpus.size() < 2) return out;
+    const std::vector<int>& order = cluster.node_sorted_ranks();
+    for (std::size_t p = 0; p < n; ++p) {
+        cpu_set_t& set = out[static_cast<std::size_t>(order[p])];
+        CPU_ZERO(&set);
+        CPU_SET(cpus[p * cpus.size() / n], &set);
+    }
+    return out;
+}
+
+/// Completion latch of one run: every rank counts down once, and the
+/// caller parks until the count reaches zero. Shared with the workers so
+/// the last one's ring never touches a latch the caller already dropped.
+struct RunLatch {
+    explicit RunLatch(int n) : pending(n) {}
+
+    void count_down() {
+        if (pending.fetch_sub(1, std::memory_order_acq_rel) == 1) done.ring();
+    }
+
+    void wait() {
+        for (;;) {
+            const std::uint32_t seen = done.snapshot();
+            if (pending.load(std::memory_order_acquire) == 0) return;
+            done.wait(seen);
+        }
+    }
+
+    std::atomic<int> pending;
+    WakeWord done;
+};
+
+/// One persistent rank thread: parked on its wake word between runs, it
+/// runs one rank per start() and counts the run's latch down when the rank
+/// returns. Destroying a Worker retires its thread, which must be idle
+/// (back in the pool).
+class Worker {
+public:
+    explicit Worker(std::size_t stack_bytes) : stack_bytes_(stack_bytes) {
+        pthread_attr_t attr;
+        pthread_attr_init(&attr);
+        pthread_attr_setstacksize(&attr, stack_bytes);
+        const int rc = pthread_create(&thread_, &attr, &Worker::main, this);
+        pthread_attr_destroy(&attr);
+        // Without every rank the job cannot progress, and ranks already
+        // started may wait forever for the missing peer: a hard
+        // configuration error, surfaced at once rather than as a hang.
+        if (rc != 0) std::terminate();
+    }
+
+    ~Worker() {
+        retire_.store(true, std::memory_order_release);
+        wake_.ring();
+        pthread_join(thread_, nullptr);
+    }
+
+    Worker(const Worker&) = delete;
+    Worker& operator=(const Worker&) = delete;
+
+    std::size_t stack_bytes() const { return stack_bytes_; }
+
+    /// Run @p args's rank on this thread, then count @p latch down.
+    void start(RankThreadArgs* args, std::shared_ptr<RunLatch> latch) {
+        latch_ = std::move(latch);
+        args_.store(args, std::memory_order_release);
+        wake_.ring();
+    }
+
+private:
+    static void* main(void* self) {
+        static_cast<Worker*>(self)->loop();
+        return nullptr;
+    }
+
+    void loop() {
+        // The mask this thread holds, so it moves only when its CPU
+        // changes; it starts with its creator's, as every new thread does.
+        cpu_set_t mask;
+        CPU_ZERO(&mask);
+        sched_getaffinity(0, sizeof mask, &mask);
+        for (;;) {
+            const std::uint32_t seen = wake_.snapshot();
+            if (retire_.load(std::memory_order_acquire)) return;
+            RankThreadArgs* args = args_.load(std::memory_order_acquire);
+            if (args == nullptr) {
+                wake_.wait(seen);
+                continue;
+            }
+            // Threads the rank spawns (the progress engine's workers)
+            // inherit the mask, so they run on the rank's CPU too.
+            if (CPU_COUNT(&args->cpus) > 0 && !CPU_EQUAL(&mask, &args->cpus) &&
+                sched_setaffinity(0, sizeof args->cpus, &args->cpus) == 0) {
+                mask = args->cpus;
+            }
+            rank_thread_entry(args);
+            const std::shared_ptr<RunLatch> latch = std::move(latch_);
+            args_.store(nullptr, std::memory_order_relaxed);
+            latch->count_down();  // publishes args_ == null to the borrower
+        }
+    }
+
+    const std::size_t stack_bytes_;
+    pthread_t thread_{};
+    WakeWord wake_;
+    std::atomic<bool> retire_{false};
+    std::atomic<RankThreadArgs*> args_{nullptr};
+    std::shared_ptr<RunLatch> latch_;  ///< published by args_'s store
+};
+
+/// The process-wide pool of idle rank threads that every Runtime::run
+/// borrows from and returns to, so a run creates no thread once the pool
+/// holds enough threads with large enough stacks.
+class RankPool {
+public:
+    static RankPool& instance() {
+        // Never destroyed: idle workers stay parked until the process
+        // exits, and no static destructor waits on a thread.
+        static RankPool* const pool = new RankPool;
+        return *pool;
+    }
+
+    /// @p n workers whose stacks hold at least @p stack_bytes: idle ones
+    /// first, in the order they were returned (so a rank tends to get the
+    /// thread that already sits on its CPU), then new ones. Each new one
+    /// replaces a smaller idle worker while any is left, so idle threads
+    /// never outnumber the ranks of the largest run.
+    std::vector<std::unique_ptr<Worker>> borrow(std::size_t n,
+                                                std::size_t stack_bytes) {
+        std::vector<std::unique_ptr<Worker>> got;
+        std::vector<std::unique_ptr<Worker>> retired;
+        got.reserve(n);
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            for (std::size_t i = idle_.size(); i-- > 0 && got.size() < n;) {
+                if (idle_[i]->stack_bytes() < stack_bytes) continue;
+                got.push_back(std::move(idle_[i]));
+                if (i + 1 != idle_.size()) idle_[i] = std::move(idle_.back());
+                idle_.pop_back();
+            }
+            while (retired.size() + got.size() < n && !idle_.empty()) {
+                retired.push_back(std::move(idle_.back()));
+                idle_.pop_back();
+            }
+        }
+        std::reverse(got.begin(), got.end());
+        retired.clear();  // joins the retirees outside the lock
+        while (got.size() < n) {
+            got.push_back(std::make_unique<Worker>(stack_bytes));
+        }
+        return got;
+    }
+
+    /// Park @p workers, whose ranks have all returned, for the next run.
+    void give_back(std::vector<std::unique_ptr<Worker>> workers) {
+        std::lock_guard<std::mutex> lock(mu_);
+        for (auto& w : workers) idle_.push_back(std::move(w));
+    }
+
+private:
+    std::mutex mu_;
+    std::vector<std::unique_ptr<Worker>> idle_;
+};
 
 }  // namespace
 
 std::vector<VTime> Runtime::run(const std::function<void(Comm&)>& rank_main) {
     const int n = cluster_.total_ranks();
 
-    // Fresh state for this run: a rank thread stuck from a previous failed
-    // run cannot exist (we always join), so replacing the registries is safe.
+    // Fresh state for this run: a rank stuck from a previous failed run
+    // cannot exist (run returns only after every rank did), so replacing
+    // the registries is safe.
     {
         std::lock_guard<std::mutex> lock(registry_mu_);
         comms_.clear();
@@ -209,7 +389,7 @@ std::vector<VTime> Runtime::run(const std::function<void(Comm&)>& rank_main) {
     std::vector<RankCtx> ctxs(static_cast<std::size_t>(n));
     std::vector<std::exception_ptr> errors(static_cast<std::size_t>(n));
     std::vector<RankThreadArgs> args(static_cast<std::size_t>(n));
-    std::vector<pthread_t> threads(static_cast<std::size_t>(n));
+    const std::vector<cpu_set_t> cpus = place_ranks(cluster_);
 
     // Span recording is on when the caller asked (RunOptions::spans) or
     // process-wide via HYMPI_TRACE; the sink only receives runs in the
@@ -226,7 +406,7 @@ std::vector<VTime> Runtime::run(const std::function<void(Comm&)>& rank_main) {
     }
 
     // Tuned algorithm selection for this vendor profile (null when the
-    // profile has no table). Resolved once, before the rank threads spawn.
+    // profile has no table). Resolved once, before the ranks start.
     const tuning::DecisionTable* tuned = tuning::find_table(model_.name);
 
     for (int i = 0; i < n; ++i) {
@@ -244,32 +424,21 @@ std::vector<VTime> Runtime::run(const std::function<void(Comm&)>& rank_main) {
         if (span_trace) ctx.spans = &recorders[static_cast<std::size_t>(i)];
         args[static_cast<std::size_t>(i)] =
             RankThreadArgs{this, &ctx, world_state, &rank_main,
-                           &errors[static_cast<std::size_t>(i)]};
+                           &errors[static_cast<std::size_t>(i)],
+                           cpus[static_cast<std::size_t>(i)]};
     }
 
-    pthread_attr_t attr;
-    pthread_attr_init(&attr);
-    pthread_attr_setstacksize(
-        &attr, std::max<std::size_t>(opts_.stack_bytes, 128 * 1024));
-
+    RankPool& pool = RankPool::instance();
+    std::vector<std::unique_ptr<Worker>> workers =
+        pool.borrow(static_cast<std::size_t>(n),
+                    std::max<std::size_t>(opts_.stack_bytes, 128 * 1024));
+    const auto latch = std::make_shared<RunLatch>(n);
     for (int i = 0; i < n; ++i) {
-        const int rc =
-            pthread_create(&threads[static_cast<std::size_t>(i)], &attr,
-                           rank_thread_entry, &args[static_cast<std::size_t>(i)]);
-        if (rc != 0) {
-            // Join what we started before reporting; without all ranks the
-            // job cannot progress, but started ranks may deadlock waiting
-            // for peers — so this is a hard configuration error we surface
-            // immediately rather than hang. Detach is unsafe; abort.
-            pthread_attr_destroy(&attr);
-            std::terminate();
-        }
+        workers[static_cast<std::size_t>(i)]->start(
+            &args[static_cast<std::size_t>(i)], latch);
     }
-    pthread_attr_destroy(&attr);
-
-    for (int i = 0; i < n; ++i) {
-        pthread_join(threads[static_cast<std::size_t>(i)], nullptr);
-    }
+    latch->wait();
+    pool.give_back(std::move(workers));
 
     // Prefer the originating error over the JobAborted exceptions raised in
     // ranks that were merely unblocked by the poison.

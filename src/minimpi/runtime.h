@@ -19,7 +19,8 @@ namespace minimpi {
 
 /// Options controlling rank-thread execution.
 struct RunOptions {
-    /// Stack size per rank thread. Large jobs (64 nodes x 24 ranks = 1536
+    /// Minimum stack size per rank thread (a pooled thread with a larger
+    /// stack is reused as is). Large jobs (64 nodes x 24 ranks = 1536
     /// threads) need small stacks; application code keeps big data on the
     /// heap.
     std::size_t stack_bytes = 1 << 20;
@@ -37,8 +38,16 @@ struct RunOptions {
     bool span_p2p = false;
 };
 
-/// The simulated MPI job: spawns one thread per rank of the ClusterSpec,
-/// hands each a world communicator, and collects per-rank virtual clocks.
+/// The simulated MPI job: runs each rank of the ClusterSpec on its own
+/// thread, hands each a world communicator, and collects per-rank virtual
+/// clocks.
+///
+/// The rank threads are persistent: every run, of any Runtime, borrows them
+/// from one process-wide pool and returns them parked when its ranks are
+/// done. A run pins its ranks node by node: the node-major rank order
+/// (ClusterSpec::node_sorted_ranks) is cut into equal contiguous blocks,
+/// one per CPU the calling thread may run on. With one allowed CPU nothing
+/// is pinned and every rank runs with the caller's mask.
 ///
 /// A Runtime can execute several `run` calls sequentially; each run starts
 /// from fresh clocks, transport and communicator state.
@@ -50,10 +59,11 @@ public:
     Runtime(const Runtime&) = delete;
     Runtime& operator=(const Runtime&) = delete;
 
-    /// Execute @p rank_main on every rank (as `rank_main(world)`), join all
-    /// threads, and return the final virtual clock of each rank. The first
-    /// exception thrown by any rank (lowest world rank wins) is rethrown
-    /// after all threads have been joined or released.
+    /// Execute @p rank_main on every rank (as `rank_main(world)`), wait
+    /// until every rank has returned, and return the final virtual clock
+    /// of each rank. The first exception thrown by any rank (lowest world
+    /// rank wins) is rethrown after every rank has returned or been
+    /// released.
     std::vector<VTime> run(const std::function<void(Comm&)>& rank_main);
 
     /// Per-rank communication counters of the most recent run().
